@@ -40,10 +40,7 @@ times :func:`repro.bayes.sampling.sample_packed` (BN states drawn
 straight into the packed-uint64 row layout) against the retained
 two-step ``sample_codes`` → ``decode_to_set`` reference on identical
 RNG streams (``sample_decode_twostep``), recording bit-identity of the
-packed rows; and a top-level ``backends`` record inserts ~10× the
-candidate scale into the in-memory ``BucketTable`` and the /64-sharded
-``ShardedBucketTable`` side by side (identical batches, periodic
-``limit=`` rollbacks), verifying identical verdicts while timing both.
+packed rows.
 
 The serving-runtime PR adds a top-level ``service_throughput`` record:
 concurrent client threads pulling generate requests through the
@@ -811,131 +808,6 @@ def measure_service_stage(n_candidates: int, seed: int = 0) -> Optional[Dict]:
     }
 
 
-#: The backends stage inserts this multiple of the candidate scale —
-#: at the default 1M that is a 10M-row exclusion set, one order past
-#: the generation benchmark's own working set (the 100M-row target is
-#: the same code path at 10x this, sized out of CI's time budget).
-BACKEND_SCALE_MULTIPLIER = 10
-
-#: Rows per insert batch (clamped to a tenth of the total for smoke
-#: runs so the stage always sees multiple batches).
-BACKEND_BATCH_ROWS = 1_000_000
-
-
-def measure_backends_stage(n_candidates: int, seed: int = 0) -> Optional[Dict]:
-    """Drive both AddressSet storage backends through an identical
-    large-scale insert/lookup schedule and verify identical verdicts.
-
-    Synthesizes ``BACKEND_SCALE_MULTIPLIER * n_candidates`` two-word
-    rows with ~25% duplicate pressure (values drawn from a pool of
-    0.75x the total; word 0 maps each value onto one of ~total/256
-    distinct /64 prefixes, so shard routing sees realistic clustering
-    — many IIDs per prefix, many prefixes per shard), then feeds the
-    same batches to the in-memory ``BucketTable`` and the /64-sharded
-    ``ShardedBucketTable``.  Every fourth batch runs through
-    ``insert_packed(limit=)`` so the sharded backend's cross-shard
-    rollback is exercised at scale.  Fresh-row masks and lookup
-    verdicts must match batch for batch (``identical``); per-backend
-    insert/lookup totals and the worst single-batch stall are timed.
-    Returns None on trees without the backend module.
-    """
-    try:
-        from repro.ipv6.backends import ShardedBucketTable
-        from repro.ipv6.sets import BucketTable
-    except ImportError:
-        return None
-    total = BACKEND_SCALE_MULTIPLIER * n_candidates
-    word_count = 2
-    batch_rows = max(min(BACKEND_BATCH_ROWS, total // 10), 1)
-    pool = max(int(total * 0.75), 4)
-    # ~256 IIDs per /64 prefix; both words derive from the same value
-    # so duplicate rows stay duplicates across the whole row.
-    num_prefixes64 = np.uint64(max(total // 256, 2))
-    prefix_base = np.uint64(0x20010DB8 << 32)
-    rng = np.random.default_rng(seed + 17)
-    tables = {
-        "memory": BucketTable(word_count),
-        "sharded64": ShardedBucketTable(word_count),
-    }
-    stats = {
-        name: {
-            "insert_seconds": 0.0,
-            "worst_batch_seconds": 0.0,
-            "lookup_seconds": 0.0,
-        }
-        for name in tables
-    }
-    identical = True
-    offered = 0
-    lookup_rows = 0
-    batch_index = 0
-    while offered < total:
-        m = min(batch_rows, total - offered)
-        values = rng.integers(0, pool, size=m, dtype=np.int64).astype(
-            np.uint64
-        )
-        words = np.empty((m, word_count), dtype=np.uint64)
-        words[:, 0] = prefix_base + values % num_prefixes64
-        words[:, 1] = values
-        limit = None if batch_index % 4 else max(m // 2, 1)
-        masks = {}
-        for name, table in tables.items():
-            started = time.perf_counter()
-            masks[name] = table.insert_packed(words, limit=limit)
-            elapsed = time.perf_counter() - started
-            stats[name]["insert_seconds"] += elapsed
-            stats[name]["worst_batch_seconds"] = max(
-                stats[name]["worst_batch_seconds"], elapsed
-            )
-        identical = identical and bool(
-            np.array_equal(masks["memory"], masks["sharded64"])
-        )
-        # Lookup parity on a probe slice: members interleaved with
-        # guaranteed misses (a flipped high bit in the IID word).
-        probe = words[:: max(m // 4096, 1)].copy()
-        probe[::2, 1] ^= np.uint64(1) << np.uint64(63)
-        lookup_rows += len(probe)
-        hits = {}
-        for name, table in tables.items():
-            started = time.perf_counter()
-            hits[name] = table.lookup(probe)
-            stats[name]["lookup_seconds"] += time.perf_counter() - started
-        identical = identical and bool(
-            np.array_equal(hits["memory"], hits["sharded64"])
-        )
-        offered += m
-        batch_index += 1
-    identical = identical and bool(
-        len(tables["memory"]) == len(tables["sharded64"])
-    )
-    record: Dict = {
-        "rows_offered": offered,
-        "distinct_rows": len(tables["memory"]),
-        "scale_multiplier": BACKEND_SCALE_MULTIPLIER,
-        "batches": batch_index,
-        "lookup_rows": lookup_rows,
-        "identical": identical,
-    }
-    for name, table in tables.items():
-        entry = {
-            "insert_seconds": round(stats[name]["insert_seconds"], 6),
-            "insert_rows_per_second": (
-                round(offered / stats[name]["insert_seconds"], 1)
-                if stats[name]["insert_seconds"]
-                else 0.0
-            ),
-            "worst_batch_seconds": round(
-                stats[name]["worst_batch_seconds"], 6
-            ),
-            "lookup_seconds": round(stats[name]["lookup_seconds"], 6),
-            "slot_count": table.slot_count,
-        }
-        record[name] = entry
-    record["sharded64"]["shards"] = tables["sharded64"].shard_count
-    record["sharded64"]["max_shard_rows"] = tables["sharded64"].max_shard_rows
-    return record
-
-
 #: The process-parallel stage runs on the pure-throughput network so
 #: the executor comparison is not confounded by duplicate suppression.
 PROCESS_PARALLEL_NETWORK = "S1"
@@ -1260,9 +1132,6 @@ def measure(
             for name in (networks or NETWORKS)
         },
     }
-    backends = measure_backends_stage(n_candidates, seed=seed)
-    if backends is not None:
-        result["backends"] = backends
     service = measure_service_stage(n_candidates, seed=seed)
     if service is not None:
         result["service_throughput"] = service

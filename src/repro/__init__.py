@@ -16,9 +16,8 @@ Quickstart::
 The curated one-call surface below is the package's public API —
 analysis (:class:`EntropyIP`), the serving runtime
 (:class:`ModelRegistry`, :class:`SessionSpec`, :class:`HitlistService`),
-streaming ingestion (:class:`IngestPipeline`), exclusion-store
-selection (:func:`make_backend`) and the consolidated error hierarchy
-(:class:`ReproError`).  ``tests/test_public_api.py`` pins ``__all__``
+streaming ingestion (:class:`IngestPipeline`) and the consolidated
+error hierarchy (:class:`ReproError`).  ``tests/test_public_api.py`` pins ``__all__``
 so entry-point drift is a test failure, not a silent break.
 
 See :mod:`repro.core.pipeline` for the facade, :mod:`repro.datasets` for
@@ -35,7 +34,6 @@ from repro.core.segmentation import SegmentationConfig
 from repro.errors import ReproError
 from repro.ingest import IngestConfig, IngestPipeline
 from repro.ipv6.address import IPv6Address
-from repro.ipv6.backends import make_backend
 from repro.ipv6.prefix import Prefix
 from repro.ipv6.sets import AddressSet
 from repro.serve import (
@@ -64,5 +62,4 @@ __all__ = [
     "SessionSpec",
     "StructureConfig",
     "__version__",
-    "make_backend",
 ]

@@ -42,10 +42,6 @@ from repro.viz.figures import (
     render_mining_table,
 )
 
-#: Exclusion-store layouts selectable from the CLI (see
-#: :mod:`repro.ipv6.backends`); emitted rows are backend-independent.
-BACKEND_CHOICES = ("memory", "sharded64")
-
 #: Execution backends for sharded draws (see :mod:`repro.exec.pool`);
 #: emitted rows are identical on either — only throughput differs.
 EXEC_BACKEND_CHOICES = ("thread", "process")
@@ -78,7 +74,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     # One-shot use of the same runtime path the long-running service
     # serves: fit → registry, session → lifecycle, draw → facade.
     # Bit-identical to the direct EntropyIP.fit + generate_addresses
-    # call for the same (seed, workers, backend).
+    # call for the same (seed, workers).
     with HitlistService() as service:
         service.fit(args.file, addresses, width=args.width)
         candidates = service.generate(
@@ -86,7 +82,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             "cli",
             args.count,
             seed=args.seed,
-            backend=args.backend,
             workers=args.workers or None,
             exec_backend=args.exec_backend,
         )
@@ -111,7 +106,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         n_candidates=args.count,
         seed=args.seed,
         workers=args.workers or None,
-        backend=args.backend,
         exec_backend=args.exec_backend,
     )
     print(result.row())
@@ -314,7 +308,6 @@ def _serve_synthetic(service, name: str, args: argparse.Namespace) -> int:
                 f"client-{index}",
                 args.count,
                 seed=args.seed + index,
-                backend=args.backend,
                 workers=args.workers or None,
                 exec_backend=args.exec_backend,
             )
@@ -420,7 +413,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             "monitor",
             seed=args.seed,
             capacity=args.capacity,
-            backend=args.backend,
             workers=args.workers or None,
             exec_backend=args.exec_backend,
         )
@@ -505,9 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--workers", type=int, default=0,
                           help="shard generation across N worker threads "
                           "(0 = serial; output depends only on the seed)")
-    generate.add_argument("--backend", choices=BACKEND_CHOICES, default=None,
-                          help="exclusion-store layout (default: memory; "
-                          "output is identical for every backend)")
     generate.add_argument("--exec-backend", choices=EXEC_BACKEND_CHOICES,
                           default=None,
                           help="where sharded draws run (with --workers; "
@@ -529,9 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--workers", type=int, default=0,
                       help="shard generation and oracle scoring across N "
                       "worker threads (0 = serial)")
-    scan.add_argument("--backend", choices=BACKEND_CHOICES, default=None,
-                      help="exclusion-store layout (default: memory; "
-                      "results are identical for every backend)")
     scan.add_argument("--exec-backend", choices=EXEC_BACKEND_CHOICES,
                       default=None,
                       help="where sharded draws run (with --workers; "
@@ -577,8 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="concurrent client threads in synthetic mode")
     serve.add_argument("--workers", type=int, default=0,
                        help="shard each draw across N worker threads")
-    serve.add_argument("--backend", choices=BACKEND_CHOICES, default=None,
-                       help="exclusion-store layout for served sessions")
     serve.add_argument("--exec-backend", choices=EXEC_BACKEND_CHOICES,
                        default=None,
                        help="where each session's sharded draws run (with "
@@ -622,8 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--seed", type=int, default=0)
     ingest.add_argument("--workers", type=int, default=0,
                         help="shard monitor draws across N worker threads")
-    ingest.add_argument("--backend", choices=BACKEND_CHOICES, default=None,
-                        help="exclusion-store layout for the monitor stream")
     ingest.add_argument("--exec-backend", choices=EXEC_BACKEND_CHOICES,
                         default=None,
                         help="where the monitor stream's sharded draws run "

@@ -24,7 +24,6 @@ from repro.core.encoding import AddressEncoder
 # Defined in the consolidated hierarchy (repro.errors); re-exported
 # here because this module is its historical home.
 from repro.errors import SessionCapacityError
-from repro.ipv6.backends import AddressSetBackend, BackendSpec, make_backend
 from repro.ipv6.sets import AddressSet, BucketTable, unpack_rows
 
 #: Evidence may name states by code string ("J1") or by index (0).
@@ -114,14 +113,15 @@ class GenerationSession:
     pool.
     """
 
-    __slots__ = ("_width", "_table", "_excluded", "_capacity", "_pools")
+    __slots__ = (
+        "_width", "_table", "_excluded", "_capacity", "_pools", "_released"
+    )
 
     def __init__(
         self,
         width: int,
         exclude: Optional[ExcludeLike] = None,
         capacity: int = 0,
-        backend: BackendSpec = None,
     ):
         if width < 1:
             raise ValueError(f"width must be positive, got {width}")
@@ -130,19 +130,15 @@ class GenerationSession:
         excluded = exclude_packed_words(exclude, width)
         self._width = width
         self._capacity = int(capacity)
-        # ``backend`` picks the exclusion-set storage layout (see
-        # repro.ipv6.backends): None/"memory" is the flat BucketTable,
-        # "sharded64" the per-prefix sharded bank for 100M+-row
-        # campaigns.  All backends share exact insert/limit semantics,
-        # so the choice never changes which rows a session emits.
-        self._table = make_backend(
-            backend,
-            (width + 15) // 16,
-            capacity=max(self._capacity, len(excluded)),
+        self._table = BucketTable(
+            (width + 15) // 16, capacity=max(self._capacity, len(excluded))
         )
         self._table.insert_packed(excluded)
         self._excluded = len(self._table)
         self._pools: Dict[Tuple[int, str], "object"] = {}
+        # Fault counters of pools already released by close(), so
+        # exec_stats() never goes down.
+        self._released = {"retries": 0, "degradations": 0}
         if self._capacity and self._excluded > self._capacity:
             raise SessionCapacityError(
                 f"seed exclusions ({self._excluded} distinct rows) exceed "
@@ -155,10 +151,8 @@ class GenerationSession:
         return self._width
 
     @property
-    def table(self) -> AddressSetBackend:
-        """The underlying combined exclusion+dedup store (a
-        :class:`~repro.ipv6.sets.BucketTable` by default; see
-        :mod:`repro.ipv6.backends` for the alternatives)."""
+    def table(self) -> BucketTable:
+        """The underlying combined exclusion+dedup store."""
         return self._table
 
     @property
@@ -219,6 +213,8 @@ class GenerationSession:
         pools, self._pools = self._pools, {}
         for pool in pools.values():
             pool.close()
+            self._released["retries"] += pool.retries
+            self._released["degradations"] += pool.degradations
 
     def __enter__(self) -> "GenerationSession":
         return self
@@ -227,10 +223,11 @@ class GenerationSession:
         self.close()
 
     def exec_stats(self) -> Dict[str, int]:
-        """Fault-tolerance counters aggregated over this session's
-        worker pools: mid-run executor rebuilds (``retries``) and
-        process→thread fallbacks (``degradations``)."""
-        stats = {"retries": 0, "degradations": 0}
+        """Fault-tolerance counters aggregated over every worker pool
+        this session has held, closed ones included: mid-run executor
+        rebuilds (``retries``) and process→thread fallbacks
+        (``degradations``).  Monotonic across :meth:`close`."""
+        stats = dict(self._released)
         for pool in self._pools.values():
             stats["retries"] += pool.retries
             stats["degradations"] += pool.degradations
@@ -241,7 +238,7 @@ class GenerationSession:
 
         The table's stored-rows matrix *is* the session (rehash and
         rollback already rebuild everything from it), so a snapshot is
-        that matrix plus the exclusion split and the cap — no backend
+        that matrix plus the exclusion split and the cap — no table
         internals, no pool state (pools are lazily recreated).  Pair
         with :meth:`restore`; persist via
         :func:`repro.checkpoint.save_checkpoint`.
@@ -258,9 +255,7 @@ class GenerationSession:
         }
 
     @classmethod
-    def restore(
-        cls, snapshot: dict, backend: BackendSpec = None
-    ) -> "GenerationSession":
+    def restore(cls, snapshot: dict) -> "GenerationSession":
         """Rebuild a session from a :meth:`snapshot`.
 
         Re-inserting the stored rows rebuilds a table with exactly the
@@ -277,9 +272,7 @@ class GenerationSession:
         from repro.errors import CheckpointError
 
         session = cls(
-            int(snapshot["width"]),
-            capacity=int(snapshot["capacity"]),
-            backend=backend,
+            int(snapshot["width"]), capacity=int(snapshot["capacity"])
         )
         words = np.ascontiguousarray(
             np.asarray(snapshot["words"], dtype=np.uint64)
@@ -291,8 +284,7 @@ class GenerationSession:
         expected = snapshot.get("digest")
         if expected is not None and session._table.state_digest() != expected:
             raise CheckpointError(
-                "restored session state digest mismatch (wrong storage "
-                "backend, or a corrupt snapshot)"
+                "restored session state digest mismatch (corrupt snapshot)"
             )
         return session
 
@@ -615,7 +607,6 @@ class AddressModel:
         self,
         exclude: Optional[ExcludeLike] = None,
         capacity: int = 0,
-        backend: BackendSpec = None,
     ) -> GenerationSession:
         """Open a persistent :class:`GenerationSession` for this model's
         width, seeded with ``exclude``.
@@ -628,16 +619,10 @@ class AddressModel:
         session's total distinct rows (0 = uncapped) — exceeding it
         raises :class:`SessionCapacityError`; it also pre-sizes the
         table (e.g. to the campaign's probe budget) so steady-state
-        rounds almost never rehash.  ``backend`` picks the
-        exclusion-store layout
-        (``"memory"``/``"sharded64"``, see :mod:`repro.ipv6.backends`);
-        emitted rows are identical for every backend.
+        rounds almost never rehash.
         """
         return GenerationSession(
-            self.encoder.width,
-            exclude=exclude,
-            capacity=capacity,
-            backend=backend,
+            self.encoder.width, exclude=exclude, capacity=capacity
         )
 
     def generate_set(

@@ -279,8 +279,7 @@ class BucketTable:
 
     @property
     def word_count(self) -> int:
-        """Packed words per stored row (the row-shape contract every
-        :class:`~repro.ipv6.backends.AddressSetBackend` exposes)."""
+        """Packed words per stored row."""
         return self._word_count
 
     @property
@@ -301,8 +300,7 @@ class BucketTable:
     def stored_words(self) -> np.ndarray:
         """Read-only view of the distinct stored rows, insertion order.
 
-        The ``stored-words`` accessor of the storage-backend protocol:
-        a ``(rows_stored, word_count)`` packed-row matrix.  Rehash and
+        A ``(rows_stored, word_count)`` packed-row matrix.  Rehash and
         rollback both rebuild from these columns, never from any source
         matrix, so the view is always the table's complete truth.
         """
@@ -555,14 +553,12 @@ class BucketTable:
     ) -> np.ndarray:
         """:meth:`insert` whose whole batch can still be undone.
 
-        The rollback hook of the storage-backend protocol: the insert
-        runs with the undo log armed, and until the next mutating call
-        the batch can be removed *exactly* with :meth:`revert_insert`.
-        A sharded backend uses this per shard to implement a
-        cross-shard ``insert_packed(limit=...)``: every shard inserts
-        its slice reversibly, and only if the global fresh count
-        overshoots are the touched shards reverted and re-fed the
-        admitted prefix.
+        The insert runs with the undo log armed, and until the next
+        mutating call the batch can be removed *exactly* with
+        :meth:`revert_insert` — how a capacity-capped
+        :meth:`GenerationSession.observe
+        <repro.core.model.GenerationSession.observe>` rejects an over-cap
+        batch without partially mutating the table.
         """
         count_mark, offered_mark = self._count, self._offered
         self._undo_armed = True

@@ -94,7 +94,6 @@ class ScanCampaign:
         adaptive: bool = False,
         seed: int = 0,
         workers: "int | None" = None,
-        backend=None,
         exec_backend: "str | None" = None,
     ):
         if probe_budget < 1 or round_size < 1:
@@ -109,11 +108,6 @@ class ScanCampaign:
         # engine (repro.exec); campaign outcomes are bit-identical for
         # any N because the shard decomposition is worker-independent.
         self._workers = workers
-        # backend= picks the session's exclusion-store layout (see
-        # repro.ipv6.backends): "memory" (default) or "sharded64" for
-        # campaigns whose probed universe outgrows one flat table.
-        # Emitted candidates are identical for every backend.
-        self._backend = backend
         # exec_backend= picks where sharded draws execute ("thread"
         # default, "process" for multi-core scaling); like workers it
         # is a pure throughput knob — outcomes are bit-identical.
@@ -141,7 +135,6 @@ class ScanCampaign:
         session = SessionSpec(
             exclude=train,
             capacity=len(train) + self._budget,
-            backend=self._backend,
             workers=self._workers,
             exec_backend=self._exec_backend,
         ).open(analysis.model)
@@ -309,7 +302,6 @@ def run_campaign(
     adaptive: bool = False,
     seed: int = 0,
     workers: "int | None" = None,
-    backend=None,
     exec_backend: "str | None" = None,
 ) -> CampaignResult:
     """Functional one-shot interface to :class:`ScanCampaign`."""
@@ -321,6 +313,5 @@ def run_campaign(
         adaptive=adaptive,
         seed=seed,
         workers=workers,
-        backend=backend,
         exec_backend=exec_backend,
     ).run()

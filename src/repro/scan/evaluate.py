@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.core.pipeline import EntropyIP
 from repro.datasets.networks import SyntheticNetwork
-from repro.ipv6.backends import BackendSpec
 from repro.ipv6.sets import AddressSet, split_train_test
 from repro.scan.responder import SimulatedResponder
 from repro.serve.lifecycle import SessionSpec
@@ -98,7 +97,6 @@ def scan_experiment(
     dataset_size: Optional[int] = None,
     seed: int = 0,
     workers: Optional[int] = None,
-    backend: BackendSpec = None,
     exec_backend: Optional[str] = None,
 ) -> ScanResult:
     """Run the full §5.5 scanning experiment against one network.
@@ -111,9 +109,7 @@ def scan_experiment(
     pool (see :mod:`repro.exec`); results are bit-identical for any
     worker count, including the serial default.  ``exec_backend``
     picks where the shards run (``"thread"`` default, ``"process"``
-    for multi-core scaling) — also output-neutral.  ``backend`` picks
-    the exclusion-store layout (``"memory"``/``"sharded64"``) — output
-    is identical for every backend.
+    for multi-core scaling) — also output-neutral.
     """
     population = network.population(seed)
     responder = SimulatedResponder(
@@ -139,7 +135,6 @@ def scan_experiment(
     session = SessionSpec(
         exclude=train,
         capacity=n_candidates + len(train),
-        backend=backend,
         workers=workers,
         exec_backend=exec_backend,
     ).open(analysis.model)
@@ -199,7 +194,6 @@ def prefix_prediction_experiment(
     day_fraction: float = 0.45,
     seed: int = 0,
     workers: Optional[int] = None,
-    backend: BackendSpec = None,
 ) -> PrefixPredictionResult:
     """Run the §5.6 client /64 prediction experiment.
 
@@ -210,9 +204,9 @@ def prefix_prediction_experiment(
     pure uint64 array membership (the /64 identifier of a width-16 row
     is the row itself).
 
-    ``workers``/``backend`` have the same spelling and semantics as
-    every other session-opening entry point (results are bit-identical
-    for any worker count and for every backend).
+    ``workers`` has the same spelling and semantics as every other
+    session-opening entry point (results are bit-identical for any
+    worker count).
     """
     population = network.population(seed)
     week_prefixes = population.prefixes64()  # sorted distinct uint64
@@ -230,9 +224,9 @@ def prefix_prediction_experiment(
     # (session-backed generation is bit-identical to the bare
     # exclude= call); uncapped because prefix-mode support is often
     # smaller than the ask and saturates early.
-    session = SessionSpec(
-        exclude=train, backend=backend, workers=workers
-    ).open(analysis.model)
+    session = SessionSpec(exclude=train, workers=workers).open(
+        analysis.model
+    )
     try:
         candidates = analysis.model.generate_set(
             n_candidates, rng, state=session, workers=workers
@@ -260,14 +254,13 @@ def training_size_sweep(
     prefix_mode: bool = False,
     seed: int = 0,
     workers: Optional[int] = None,
-    backend: BackendSpec = None,
 ) -> Dict[int, float]:
     """Success rate vs training size (Table 5).
 
     Returns train_size → success rate.  Sizes larger than the available
-    dataset are skipped.  ``workers``/``backend`` forward to the
-    underlying experiments with the unified spelling (results are
-    bit-identical either way).
+    dataset are skipped.  ``workers`` forwards to the underlying
+    experiments with the unified spelling (results are bit-identical
+    for any worker count).
     """
     results: Dict[int, float] = {}
     for train_size in train_sizes:
@@ -285,7 +278,6 @@ def training_size_sweep(
                 n_candidates=n_candidates,
                 seed=seed,
                 workers=workers,
-                backend=backend,
             )
             results[train_size] = result.success_rate_week
         else:
@@ -295,7 +287,6 @@ def training_size_sweep(
                 n_candidates=n_candidates,
                 seed=seed,
                 workers=workers,
-                backend=backend,
             )
             results[train_size] = scan.success_rate
     return results

@@ -10,16 +10,16 @@ plus one ``generate_set`` call on warm state.
 
 The determinism contract of every prior subsystem carries through
 unchanged: a managed stream is **bit-identical** to the direct library
-path — ``model.session(exclude=…, backend=…)`` plus a
+path — ``model.session(exclude=…)`` plus a
 ``numpy.random.default_rng(seed)`` fed through the same sequence of
 ``generate_set(n, rng, state=session, workers=…)`` calls — for the
-same ``(seed, workers, backend)``.  The manager adds only bookkeeping
+same ``(seed, workers)``.  The manager adds only bookkeeping
 (locking, idle eviction, capacity caps), never a different code path.
 
 :class:`SessionSpec` is the one canonical recipe for opening a session
 — the CLI, ``scan/evaluate.py``, ``scan/campaign.py`` and the manager
-all construct sessions through it, so backend selection and capacity
-semantics cannot drift between entry points.
+all construct sessions through it, so capacity semantics cannot
+drift between entry points.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from repro.errors import (
     SessionClosedError,
     UnknownSessionError,
 )
-from repro.ipv6.backends import BackendSpec
 from repro.ipv6.sets import AddressSet
 from repro.serve.registry import ModelEntry, ModelRegistry
 
@@ -55,8 +54,8 @@ class SessionSpec:
 
     Every entry point — the service runtime, the CLI subcommands,
     ``scan_experiment`` and ``ScanCampaign`` — opens sessions through
-    :meth:`open`, so the ``backend``/``capacity`` semantics live in
-    exactly one place.
+    :meth:`open`, so the ``capacity`` semantics live in exactly one
+    place.
 
     ``capacity`` is the *enforceable* cap of
     :class:`~repro.core.model.GenerationSession` (0 = uncapped):
@@ -74,17 +73,12 @@ class SessionSpec:
 
     exclude: Optional[ExcludeLike] = None
     capacity: int = 0
-    backend: BackendSpec = None
     workers: Optional[int] = None
     exec_backend: Optional[str] = None
 
     def open(self, model: AddressModel) -> GenerationSession:
         """Open a fresh session on ``model`` per this recipe."""
-        return model.session(
-            exclude=self.exclude,
-            capacity=self.capacity,
-            backend=self.backend,
-        )
+        return model.session(exclude=self.exclude, capacity=self.capacity)
 
 
 class ManagedSession:
@@ -224,7 +218,6 @@ class ManagedSession:
                 "model_digest": self.entry.digest,
                 "spec": {
                     "capacity": self.spec.capacity,
-                    "backend": self.spec.backend,
                     "workers": self.spec.workers,
                     "exec_backend": self.spec.exec_backend,
                 },
@@ -248,7 +241,9 @@ class ManagedSession:
         different model would silently break the bit-identity promise
         — the whole point of a checkpoint.  The restored stream's RNG
         resumes at the exact saved position, so its subsequent draws
-        are bit-identical to the uninterrupted run's.
+        are bit-identical to the uninterrupted run's.  A ``backend``
+        key in the spec (written by older snapshots) is ignored: the
+        stored rows and the state digest never depended on it.
         """
         if entry.digest != payload["model_digest"]:
             raise CheckpointError(
@@ -260,7 +255,6 @@ class ManagedSession:
         spec = SessionSpec(
             exclude=None,
             capacity=int(spec_data["capacity"]),
-            backend=spec_data["backend"],
             workers=spec_data["workers"],
             exec_backend=spec_data["exec_backend"],
         )
@@ -274,9 +268,7 @@ class ManagedSession:
         # Swap the freshly opened (empty) session for the restored one
         # and rewind the RNG to the saved stream position.
         managed.session.close()
-        managed.session = GenerationSession.restore(
-            payload["session"], backend=spec.backend
-        )
+        managed.session = GenerationSession.restore(payload["session"])
         managed.rng.bit_generator.state = payload["rng_state"]
         managed.requests = int(payload["requests"])
         managed.rows_served = int(payload["rows_served"])
@@ -302,9 +294,7 @@ class SessionManager:
 
     ``capacity`` caps live sessions; over it, the least-recently-used
     session is closed and dropped.  ``ttl`` closes sessions idle longer
-    than the given seconds.  ``default_backend`` applies when a spec
-    does not choose one, so a deployment can flip its whole session
-    pool to ``"sharded64"`` in one place.
+    than the given seconds.
     """
 
     def __init__(
@@ -312,7 +302,6 @@ class SessionManager:
         registry: ModelRegistry,
         capacity: int = 64,
         ttl: Optional[float] = None,
-        default_backend: BackendSpec = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         if capacity < 1:
@@ -322,7 +311,6 @@ class SessionManager:
         self.registry = registry
         self._capacity = capacity
         self._ttl = ttl
-        self._default_backend = default_backend
         self._clock = clock
         self._lock = threading.RLock()
         self._sessions: "OrderedDict[Tuple[str, str], ManagedSession]" = (
@@ -330,6 +318,10 @@ class SessionManager:
         )
         self._evictions = 0
         self._expirations = 0
+        # Fault counters of sessions already dropped, so exec_stats()
+        # never goes down when a session closes, is evicted, rolls over
+        # or is replaced by a restore.
+        self._retired_exec = {"retries": 0, "degradations": 0}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -343,7 +335,6 @@ class SessionManager:
         exclude: Optional[ExcludeLike] = None,
         exclude_training: bool = False,
         capacity: int = 0,
-        backend: BackendSpec = None,
         workers: Optional[int] = None,
         exec_backend: Optional[str] = None,
     ) -> ManagedSession:
@@ -375,9 +366,6 @@ class SessionManager:
             spec = SessionSpec(
                 exclude=exclude,
                 capacity=capacity,
-                backend=(
-                    backend if backend is not None else self._default_backend
-                ),
                 workers=workers,
                 exec_backend=exec_backend,
             )
@@ -388,7 +376,7 @@ class SessionManager:
             self._sessions.move_to_end(key)
             while len(self._sessions) > self._capacity:
                 _, evicted = self._sessions.popitem(last=False)
-                evicted.close()
+                self._retire(evicted)
                 self._evictions += 1
             return session
 
@@ -414,7 +402,7 @@ class SessionManager:
             session = self._sessions.pop(key, None)
             if session is None:
                 return False
-            session.close()
+            self._retire(session)
             return True
 
     def close_all(self) -> int:
@@ -427,8 +415,8 @@ class SessionManager:
         with self._lock:
             sessions = list(self._sessions.values())
             self._sessions.clear()
-        for session in sessions:
-            session.close()
+            for session in sessions:
+                self._retire(session)
         return len(sessions)
 
     def rollover(self, model_name: str, client: str) -> ManagedSession:
@@ -448,7 +436,7 @@ class SessionManager:
                     f"no live session for model {model_name!r}, "
                     f"client {client!r}"
                 )
-            old.close()
+            self._retire(old)
             entry = self.registry.get(model_name)
             session = ManagedSession(
                 key, entry, old.spec, seed=old.seed, clock=self._clock
@@ -474,12 +462,12 @@ class SessionManager:
             )
             old = self._sessions.pop(session.key, None)
             if old is not None:
-                old.close()
+                self._retire(old)
             self._sessions[session.key] = session
             self._sessions.move_to_end(session.key)
             while len(self._sessions) > self._capacity:
                 _, evicted = self._sessions.popitem(last=False)
-                evicted.close()
+                self._retire(evicted)
                 self._evictions += 1
             return session
 
@@ -494,18 +482,24 @@ class SessionManager:
         return [session.snapshot() for session in sessions]
 
     def exec_stats(self) -> dict:
-        """Mid-run retry / degradation counters summed over every live
-        session's worker pools (for the service ``health`` verb)."""
+        """Mid-run retry / degradation counters summed over the worker
+        pools of every session this manager has held, dropped ones
+        included (for the service ``health`` verb).  Monotonic."""
         with self._lock:
-            sessions = list(self._sessions.values())
-        totals = {"retries": 0, "degradations": 0}
-        for session in sessions:
-            if session.closed:
-                continue
-            stats = session.session.exec_stats()
-            totals["retries"] += stats["retries"]
-            totals["degradations"] += stats["degradations"]
+            totals = dict(self._retired_exec)
+            for session in self._sessions.values():
+                stats = session.session.exec_stats()
+                totals["retries"] += stats["retries"]
+                totals["degradations"] += stats["degradations"]
         return totals
+
+    def _retire(self, session: ManagedSession) -> None:
+        """Close a session the manager has dropped (under the manager
+        lock) and fold its fault counters into the running totals."""
+        session.close()
+        stats = session.session.exec_stats()
+        self._retired_exec["retries"] += stats["retries"]
+        self._retired_exec["degradations"] += stats["degradations"]
 
     def adopt_model(self, model_name: str) -> int:
         """Roll every live session of ``model_name`` onto the model's
@@ -572,8 +566,7 @@ class SessionManager:
             if now - session.last_used > self._ttl
         ]
         for key in expired:
-            session = self._sessions.pop(key)
-            session.close()
+            self._retire(self._sessions.pop(key))
             self._expirations += 1
 
     def __repr__(self) -> str:

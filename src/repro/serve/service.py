@@ -24,7 +24,7 @@ serving-side analogue of the addr/s benchmark stages.
 Determinism is inherited from the layers below: a served generate
 stream is bit-identical to the direct
 ``AddressModel.session()``/``generate_set`` path for the same (seed,
-workers, backend), because the service *is* that path plus queuing —
+workers), because the service *is* that path plus queuing —
 asserted by the threaded stress suite and the ``service_throughput``
 benchmark stage.
 """
@@ -49,7 +49,6 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.faults import fault_point
-from repro.ipv6.backends import BackendSpec
 from repro.ipv6.sets import AddressSet
 from repro.serve.lifecycle import ManagedSession, SessionManager
 from repro.serve.registry import ModelEntry, ModelRegistry
@@ -302,7 +301,6 @@ class HitlistService:
         exclude: Optional[ExcludeLike] = None,
         exclude_training: bool = True,
         capacity: int = 0,
-        backend: BackendSpec = None,
         workers: Optional[int] = None,
         exec_backend: Optional[str] = None,
     ) -> ManagedSession:
@@ -318,7 +316,6 @@ class HitlistService:
             exclude=exclude,
             exclude_training=exclude_training,
             capacity=capacity,
-            backend=backend,
             workers=workers,
             exec_backend=exec_backend,
         )
@@ -332,7 +329,6 @@ class HitlistService:
         exclude: Optional[ExcludeLike] = None,
         exclude_training: bool = True,
         capacity: int = 0,
-        backend: BackendSpec = None,
         workers: Optional[int] = None,
         exec_backend: Optional[str] = None,
     ) -> AddressSet:
@@ -346,7 +342,6 @@ class HitlistService:
             exclude=exclude,
             exclude_training=exclude_training,
             capacity=capacity,
-            backend=backend,
             workers=workers,
             exec_backend=exec_backend,
         ).result()
@@ -360,7 +355,6 @@ class HitlistService:
         exclude: Optional[ExcludeLike] = None,
         exclude_training: bool = True,
         capacity: int = 0,
-        backend: BackendSpec = None,
         workers: Optional[int] = None,
         exec_backend: Optional[str] = None,
     ) -> "Future":
@@ -388,7 +382,6 @@ class HitlistService:
                     exclude=exclude,
                     exclude_training=exclude_training,
                     capacity=capacity,
-                    backend=backend,
                     workers=workers,
                     exec_backend=exec_backend,
                 )

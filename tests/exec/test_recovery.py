@@ -204,3 +204,24 @@ class TestSessionExecStats:
             assert stats["retries"] >= 1
         finally:
             session.close()
+
+    def test_counts_survive_session_close(self):
+        """Closing a session releases its pools but keeps their fault
+        counts: ``exec_stats`` never goes down."""
+        import numpy as np
+
+        from repro.core.pipeline import EntropyIP
+        from repro.datasets.networks import build_network
+
+        train = build_network("S1").sample(300, seed=3)
+        model = EntropyIP.fit(train).model
+        session = model.session(exclude=train)
+        with FaultPlan.parse("pool.dispatch@2:raise=OSError").armed():
+            model.generate_set(
+                400, np.random.default_rng(5), state=session, workers=2,
+                exec_backend="process",
+            )
+        before = session.exec_stats()
+        assert before["retries"] >= 1
+        session.close()
+        assert session.exec_stats() == before

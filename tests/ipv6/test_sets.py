@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.ipv6.address import IPv6Address
 from repro.ipv6.sets import (
     AddressSet,
+    BucketTable,
     first_occurrence_positions,
     pack_rows,
     split_train_test,
@@ -410,3 +411,128 @@ class TestMatchRows:
         # Signed but non-negative is fine.
         built = AddressSet.from_words(np.array([7, 9], dtype=np.int64), 4)
         assert built.to_ints() == [7, 9]
+
+
+def rows_from_values(values, word_count=2):
+    """Packed rows whose identity is the scalar value: word 0 mimics a
+    clustered /64 prefix, the remaining words the IID."""
+    values = np.asarray(values, dtype=np.uint64)
+    words = np.empty((len(values), word_count), dtype=np.uint64)
+    words[:, 0] = np.uint64(0x20010DB8 << 32) + (values >> np.uint64(3))
+    for column in range(1, word_count):
+        words[:, column] = values
+    return words
+
+
+def stored_row_set(table):
+    return {tuple(map(int, row)) for row in table.stored_words()}
+
+
+def oracle_insert(seen, words, limit=None):
+    """First-occurrence Python-set insert: the fresh mask, admitting at
+    most ``limit`` fresh rows."""
+    fresh = []
+    admitted = 0
+    for row in words:
+        key = tuple(map(int, row))
+        admit = key not in seen and (limit is None or admitted < limit)
+        fresh.append(admit)
+        if admit:
+            seen.add(key)
+            admitted += 1
+    return fresh
+
+
+class TestBucketTableOracle:
+    """:class:`BucketTable` against a first-occurrence Python-set
+    oracle, over mixed batch schedules (empty, single-row, large)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 120), min_size=0, max_size=40),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(1, 3),
+    )
+    def test_fresh_masks_match_oracle(self, batches, word_count):
+        table = BucketTable(word_count)
+        seen = set()
+        offered = 0
+        for batch in batches:
+            words = rows_from_values(batch, word_count)
+            expected = oracle_insert(seen, words)
+            assert table.insert(words).tolist() == expected
+            offered += len(batch)
+        assert len(table) == len(seen)
+        assert table.rows_offered == offered
+        assert stored_row_set(table) == seen
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(0, 120), min_size=1, max_size=80),
+        st.lists(st.integers(0, 160), min_size=1, max_size=40),
+    )
+    def test_lookup_ids_are_stream_positions(self, stream, probes):
+        table = BucketTable(2)
+        table.insert(rows_from_values(stream))
+        first_seen = {}
+        for position, value in enumerate(stream):
+            first_seen.setdefault(int(value), position)
+        probe_words = rows_from_values(probes)
+        expected = [first_seen.get(int(v), -1) for v in probes]
+        assert table.lookup(probe_words).tolist() == expected
+        assert table.contains(probe_words).tolist() == [
+            e >= 0 for e in expected
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(0, 60), min_size=1, max_size=80),
+        st.integers(0, 20),
+        st.integers(0, 40),
+    )
+    def test_limited_insert_matches_oracle(self, batch, limit, preload):
+        table = BucketTable(2)
+        pre = rows_from_values(np.arange(preload) * 3)
+        table.insert(pre)
+        seen = stored_row_set(table)
+        words = rows_from_values(batch)
+        expected = oracle_insert(seen, words, limit=limit)
+        mask = table.insert_packed(words, limit=limit)
+        assert mask.tolist() == expected
+        assert int(mask.sum()) <= limit
+        assert len(table) == len(seen)
+        assert table.rows_offered == preload + len(batch)
+        assert stored_row_set(table) == seen
+        # Admitted rows carry their true stream positions; rows the
+        # limit turned away are absent.
+        ids = table.lookup(words)
+        for position, (row, admitted) in enumerate(zip(words, mask)):
+            if admitted:
+                assert ids[position] == preload + position
+            elif tuple(map(int, row)) not in seen:
+                assert ids[position] == -1
+
+    def test_reversible_insert_round_trip(self):
+        table = BucketTable(2)
+        table.insert(rows_from_values([1, 2, 3]))
+        mark_rows, mark_offered = len(table), table.rows_offered
+        before = stored_row_set(table)
+        fresh = table.insert_reversible(rows_from_values([2, 10, 11]))
+        assert fresh.tolist() == [False, True, True]
+        table.revert_insert()
+        assert len(table) == mark_rows
+        assert table.rows_offered == mark_offered
+        assert stored_row_set(table) == before
+        assert not table.contains(rows_from_values([10, 11])).any()
+        with pytest.raises(RuntimeError):
+            table.revert_insert()
+
+    def test_plain_insert_invalidates_revert(self):
+        table = BucketTable(2)
+        table.insert_reversible(rows_from_values([1, 2]))
+        table.insert(rows_from_values([3]))
+        with pytest.raises(RuntimeError):
+            table.revert_insert()

@@ -192,6 +192,21 @@ class TestHealth:
         assert health["exec"] == {"retries": 0, "degradations": 0}
         assert health["models"] == {"m": 1}
 
+    def test_exec_counters_survive_session_roll_and_close(self, service):
+        """Retries recorded by a session's worker pool stay in
+        ``health()["exec"]`` after the session rolls over and after it
+        closes: the counters are monotonic."""
+        service.open_session("m", "faulty", workers=2,
+                             exec_backend="process")
+        with FaultPlan.parse("pool.dispatch@2:raise=OSError").armed():
+            service.generate("m", "faulty", 200)
+        before = service.health()["exec"]
+        assert before["retries"] >= 1
+        service.rollover_session("m", "faulty")
+        assert service.health()["exec"] == before
+        service.close_session("m", "faulty")
+        assert service.health()["exec"] == before
+
     def test_health_reflects_timeouts_and_closure(self, service):
         release, blockers = jam_workers(service, 2)
         try:

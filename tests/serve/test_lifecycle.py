@@ -39,7 +39,7 @@ def registry(analysis):
 
 class TestSessionSpec:
     def test_open_matches_model_session(self, analysis):
-        spec = SessionSpec(capacity=500, backend="sharded64")
+        spec = SessionSpec(capacity=500)
         session = spec.open(analysis.model)
         assert session.width == analysis.encoder.width
         assert session.capacity == 500
@@ -174,13 +174,6 @@ class TestManagerLifecycle:
         assert len(manager) == 0
         assert managed.closed
         assert manager.stats()["expirations"] == 1
-
-    def test_default_backend_applies(self, registry):
-        manager = SessionManager(registry, default_backend="sharded64")
-        managed = manager.open("m", "c")
-        assert type(managed.session.table).__name__ == "ShardedBucketTable"
-        explicit = manager.open("m", "d", backend="memory")
-        assert type(explicit.session.table).__name__ == "BucketTable"
 
     def test_invalid_parameters(self, registry):
         with pytest.raises(ValueError):

@@ -71,16 +71,6 @@ class TestCommands:
         assert main(["analyze", "-"]) == 0
         assert "H_S=" in capsys.readouterr().out
 
-    def test_generate_backend_flag_output_identical(
-        self, address_file, capsys
-    ):
-        main(["generate", address_file, "--count", "15", "--seed", "4"])
-        default = capsys.readouterr().out
-        main(["generate", address_file, "--count", "15", "--seed", "4",
-              "--backend", "sharded64"])
-        sharded = capsys.readouterr().out
-        assert default == sharded
-
     def test_generate_matches_direct_library_path(
         self, address_file, capsys
     ):
@@ -102,20 +92,9 @@ class TestCommands:
         ]
         assert served == direct
 
-    def test_generate_rejects_unknown_backend(self, address_file):
+    def test_generate_has_no_storage_backend_flag(self, address_file):
         with pytest.raises(SystemExit):
-            main(["generate", address_file, "--backend", "mmap"])
-
-    def test_scan_backend_flag(self, capsys):
-        assert main([
-            "scan", "R5", "--train", "200", "--count", "500",
-        ]) == 0
-        default = capsys.readouterr().out
-        assert main([
-            "scan", "R5", "--train", "200", "--count", "500",
-            "--backend", "sharded64",
-        ]) == 0
-        assert capsys.readouterr().out == default
+            main(["generate", address_file, "--backend", "memory"])
 
 
 class TestServeCommand:

@@ -99,7 +99,6 @@ CURATED_ALL = [
     "SessionSpec",
     "StructureConfig",
     "__version__",
-    "make_backend",
 ]
 
 
@@ -143,7 +142,6 @@ def test_curated_symbols_are_canonical():
     from repro.core.pipeline import EntropyIP
     from repro.errors import ReproError
     from repro.ingest.pipeline import IngestConfig, IngestPipeline
-    from repro.ipv6.backends import make_backend
     from repro.serve.lifecycle import SessionManager, SessionSpec
     from repro.serve.registry import ModelRegistry
     from repro.serve.service import HitlistService
@@ -152,7 +150,6 @@ def test_curated_symbols_are_canonical():
     assert repro.ReproError is ReproError
     assert repro.IngestConfig is IngestConfig
     assert repro.IngestPipeline is IngestPipeline
-    assert repro.make_backend is make_backend
     assert repro.SessionManager is SessionManager
     assert repro.SessionSpec is SessionSpec
     assert repro.ModelRegistry is ModelRegistry
