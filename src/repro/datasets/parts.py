@@ -5,11 +5,21 @@ Each helper returns a :data:`repro.datasets.schema.Sampler` — a callable
 observes in the wild: constants, weighted pools, dense ranges, sequential
 low-byte assignment, Modified EUI-64 from vendor MAC pools, RFC 4941
 privacy IIDs, and the two styles of embedded IPv4 (§5.2, §5.3).
+
+The weighted samplers (:func:`weighted`, :func:`zipf_pool`,
+:func:`select`, :func:`mixture`) build their CDF once, at construction,
+exactly as ``Generator.choice(p=)`` builds it, and draw with
+``bisect_right(cdf, rng.random())``.  That consumes the same single
+double and returns the same index as ``choice`` — so populations are
+bit-identical to drawing with ``choice`` — without re-validating ``p``
+on every one of the millions of per-field draws a population needs.
+The validation itself happens once, in :func:`_cdf`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from bisect import bisect_right
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -55,16 +65,38 @@ def uniform_range(low: int, high: int) -> Sampler:
     return sample
 
 
+def _cdf(weights: Sequence[float]) -> List[float]:
+    """The CDF ``Generator.choice(p=)`` draws from, computed once.
+
+    ``weights`` are normalized by their sum, then turned into a CDF the
+    way ``choice`` does: ``cumsum``, then divide by the last entry.  ``choice``'s check on
+    ``p`` moves here, so a bad weight vector fails when the sampler is
+    built rather than on its first draw.
+    """
+    probabilities = np.asarray(weights, dtype=np.float64)
+    if probabilities.ndim != 1 or len(probabilities) == 0:
+        raise ValueError("weights must be a non-empty 1-D sequence")
+    if not np.isfinite(probabilities).all():
+        raise ValueError("weights must be finite")
+    if (probabilities < 0).any():
+        raise ValueError("weights must be non-negative")
+    total = probabilities.sum()
+    if not (np.isfinite(total) and total > 0):
+        raise ValueError("weights must sum to a positive, finite value")
+    cdf = (probabilities / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def weighted(values: Sequence[int], weights: Sequence[float]) -> Sampler:
     """Weighted choice from a fixed pool (popular values, Table 3 style)."""
-    array = np.asarray(values, dtype=np.uint64)
-    probabilities = np.asarray(weights, dtype=np.float64)
-    if len(array) != len(probabilities):
+    pool_values = [int(v) for v in np.asarray(values, dtype=np.uint64)]
+    if len(pool_values) != len(weights):
         raise ValueError("values and weights must have equal length")
-    probabilities = probabilities / probabilities.sum()
+    cdf = _cdf(weights)
 
     def sample(rng: np.random.Generator, context: Dict) -> int:
-        return int(rng.choice(array, p=probabilities))
+        return pool_values[bisect_right(cdf, rng.random())]
 
     return sample
 
@@ -93,12 +125,12 @@ def zipf_pool(size: int, nybbles: int, seed: int, exponent: float = 1.3) -> Samp
     cardinality = 16 ** nybbles
     pool_rng = np.random.default_rng(seed)
     values = pool_rng.integers(0, cardinality, size=size, dtype=np.uint64)
+    pool_values = [int(v) for v in values]
     ranks = np.arange(1, size + 1, dtype=np.float64)
-    probabilities = ranks ** (-exponent)
-    probabilities /= probabilities.sum()
+    cdf = _cdf(ranks ** (-exponent))
 
     def sample(rng: np.random.Generator, context: Dict) -> int:
-        return int(values[rng.choice(size, p=probabilities)])
+        return pool_values[bisect_right(cdf, rng.random())]
 
     return sample
 
@@ -131,13 +163,12 @@ def select(key: str, options: Sequence[Tuple[float, object, Sampler]]) -> Sample
     ``options`` are (weight, tag, sampler) triples; the drawn tag lands
     in ``context[key]`` so later fields can :func:`switch` on it.
     """
-    weights = np.asarray([w for w, _, _ in options], dtype=np.float64)
-    weights /= weights.sum()
+    cdf = _cdf([w for w, _, _ in options])
     tags = [t for _, t, _ in options]
     samplers = [s for _, _, s in options]
 
     def sample(rng: np.random.Generator, context: Dict) -> int:
-        index = int(rng.choice(len(tags), p=weights))
+        index = bisect_right(cdf, rng.random())
         context[key] = tags[index]
         return int(samplers[index](rng, context))
 
@@ -160,12 +191,11 @@ def switch(key: str, cases: Dict[object, Sampler]) -> Sampler:
 
 def mixture(options: Sequence[Tuple[float, Sampler]]) -> Sampler:
     """Weighted mixture of samplers (no tag recorded)."""
-    weights = np.asarray([w for w, _ in options], dtype=np.float64)
-    weights /= weights.sum()
+    cdf = _cdf([w for w, _ in options])
     samplers = [s for _, s in options]
 
     def sample(rng: np.random.Generator, context: Dict) -> int:
-        return int(samplers[int(rng.choice(len(samplers), p=weights))](rng, context))
+        return int(samplers[bisect_right(cdf, rng.random())](rng, context))
 
     return sample
 

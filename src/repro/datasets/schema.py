@@ -58,20 +58,25 @@ class AddressScheme:
         names = [f.name for f in self.fields]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate field names: {names}")
+        # Per-field constants of the hot per-address loop, computed once.
+        self._layout = [
+            (f.name, f.sampler, f.cardinality, 4 * f.nybbles)
+            for f in self.fields
+        ]
 
     def generate_one(self, rng: np.random.Generator) -> int:
         """Draw a single address as a ``width``-nybble integer."""
         context: Dict[str, object] = {}
         value = 0
-        for field in self.fields:
-            piece = int(field.sampler(rng, context))
-            if not 0 <= piece < field.cardinality:
+        for name, sampler, cardinality, bits in self._layout:
+            piece = int(sampler(rng, context))
+            if not 0 <= piece < cardinality:
                 raise ValueError(
-                    f"field {field.name!r} sampled {piece:#x}, which does "
-                    f"not fit in {field.nybbles} nybbles"
+                    f"field {name!r} sampled {piece:#x}, which does "
+                    f"not fit in {bits // 4} nybbles"
                 )
-            context[field.name] = piece
-            value = (value << (4 * field.nybbles)) | piece
+            context[name] = piece
+            value = (value << bits) | piece
         return value
 
     def generate(self, n: int, rng: np.random.Generator) -> List[int]:

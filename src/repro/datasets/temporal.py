@@ -15,7 +15,8 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.datasets.networks import SyntheticNetwork
-from repro.ipv6.sets import AddressSet
+from repro.ipv6.address import NYBBLES_PER_ADDRESS
+from repro.ipv6.sets import AddressSet, unpack_rows
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,8 @@ class SnapshotSeries:
                 else:  # grow
                     growth = event.magnitude
             keep = int(round((1 - self.churn) * len(current)))
-            kept_rows = sorted(
-                int(r) for r in rng.choice(len(current), size=keep,
-                                           replace=False)
+            kept_rows = np.sort(
+                rng.choice(len(current), size=keep, replace=False)
             )
             fresh = effective.sample(self.sample_size - keep, rng)
             snapshot = current.take(kept_rows).concat(fresh)
@@ -92,12 +92,17 @@ def _renumber(address_set: AddressSet, mask: int) -> AddressSet:
     """XOR address bits 56-64 (the low subnet byte) with ``mask``.
 
     Models an operator moving its customer pools to a new block while
-    leaving the /32 and the IIDs untouched.
+    leaving the /32 and the IIDs untouched.  Those bits are the low
+    byte of the first big-endian packed word, so the whole set is
+    renumbered by one vectorized XOR.
     """
     if not 0 < mask <= 0xFF:
         raise ValueError("mask must fit in the low subnet byte (1..0xff)")
-    shifted = mask << 64
-    values = [v ^ shifted for v in address_set.to_ints()]
-    return AddressSet.from_ints(
-        values, width=address_set.width, already_truncated=True
-    )
+    if address_set.width != NYBBLES_PER_ADDRESS:
+        raise ValueError(
+            f"renumbering needs full {NYBBLES_PER_ADDRESS}-nybble "
+            f"addresses, got width {address_set.width}"
+        )
+    words = address_set.packed_rows().copy()
+    words[:, 0] ^= np.uint64(mask)
+    return AddressSet(unpack_rows(words, address_set.width))

@@ -996,8 +996,22 @@ class AddressSet:
     # ------------------------------------------------------------------
 
     def unique(self) -> "AddressSet":
-        """Distinct rows (order not preserved; sorted lexicographically)."""
-        return AddressSet(np.unique(self._matrix, axis=0))
+        """Distinct rows (order not preserved; sorted lexicographically).
+
+        Sorts the packed words rather than the nybble rows: packed words
+        are big-endian, so their order is the rows' lexicographic order
+        (the order ``np.unique(matrix, axis=0)`` returns), at the cost
+        of an integer ``lexsort`` instead of a void-dtype row sort.  The
+        result keeps its sorted packed words, so its membership index
+        never re-packs.
+        """
+        words = self.packed_rows()
+        # lexsort's last key is the primary one: word 0 is most significant.
+        order = np.lexsort(words.T[::-1])
+        ordered = words[order]
+        keep = np.ones(len(ordered), dtype=bool)
+        keep[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        return AddressSet._with_packed(self._matrix[order[keep]], ordered[keep])
 
     def packed_rows(self) -> np.ndarray:
         """Rows packed into ``(n, ceil(width/16))`` uint64 words.

@@ -263,12 +263,9 @@ def training_size_sweep(
     for any worker count).
     """
     results: Dict[int, float] = {}
+    population = network.population(seed)
+    available = len(population.prefixes64() if prefix_mode else population)
     for train_size in train_sizes:
-        if prefix_mode:
-            population = network.population(seed)
-            available = len(population.prefixes64())
-        else:
-            available = len(network.population(seed))
         if train_size * 2 >= available:
             continue
         if prefix_mode:

@@ -84,8 +84,8 @@ class SimulatedResponder:
     ):
         if not 0 <= ping_rate <= 1 or not 0 <= rdns_rate <= 1:
             raise ValueError("rates must lie in [0, 1]")
-        # Distinct rows only: np.unique sorts bytewise, which for the
-        # big-endian nybble layout is ascending numeric order.
+        # Distinct rows only: unique() sorts the big-endian packed
+        # words, which is ascending numeric order.
         self._population = population.unique()
         self._width = population.width
         self._ping_rate = ping_rate

@@ -1,7 +1,10 @@
 """Tests for the sampler building blocks."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datasets import parts
 from repro.ipv6.eui64 import (
@@ -150,3 +153,107 @@ class TestIidSamplers:
     def test_ipv4_hex_low32_bounds(self, gen):
         values = draw(parts.ipv4_hex_low32(), gen, 100)
         assert all(0 <= v < (1 << 32) for v in values)
+
+
+#: Weight vectors with zero entries mixed in (at least one positive).
+WEIGHTS = st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3)),
+    min_size=1,
+    max_size=12,
+).filter(lambda w: sum(w) > 0)
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+DRAWS = 25
+
+
+def choice_oracle(weights, seed):
+    """Indices ``Generator.choice(len(p), p=p)`` draws, and its end state."""
+    p = np.asarray(weights, dtype=np.float64)
+    p = p / p.sum()
+    rng = np.random.default_rng(seed)
+    indices = [int(rng.choice(len(p), p=p)) for _ in range(DRAWS)]
+    return indices, rng.bit_generator.state
+
+
+class TestChoiceOracle:
+    """The precomputed-CDF samplers consume the same RNG stream as
+    ``Generator.choice(p=)``: same index per draw, same final state."""
+
+    @staticmethod
+    def run(sampler, seed, context_key=None):
+        rng = np.random.default_rng(seed)
+        drawn = []
+        for _ in range(DRAWS):
+            context = {}
+            drawn.append(sampler(rng, context))
+            if context_key is not None:
+                assert context[context_key] == drawn[-1]
+        return drawn, rng.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(WEIGHTS, SEEDS)
+    def test_weighted_matches_choice(self, weights, seed):
+        sampler = parts.weighted(list(range(len(weights))), weights)
+        assert self.run(sampler, seed) == choice_oracle(weights, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(WEIGHTS, SEEDS)
+    def test_select_matches_choice(self, weights, seed):
+        sampler = parts.select(
+            "tag", [(w, i, parts.constant(i)) for i, w in enumerate(weights)]
+        )
+        assert self.run(sampler, seed, "tag") == choice_oracle(weights, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(WEIGHTS, SEEDS)
+    def test_mixture_matches_choice(self, weights, seed):
+        sampler = parts.mixture(
+            [(w, parts.constant(i)) for i, w in enumerate(weights)]
+        )
+        assert self.run(sampler, seed) == choice_oracle(weights, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=200),
+        st.floats(min_value=0.1, max_value=3.0),
+        SEEDS,
+    )
+    def test_zipf_pool_matches_choice(self, size, exponent, seed):
+        sampler = parts.zipf_pool(size, 4, seed=3, exponent=exponent)
+        values = np.random.default_rng(3).integers(
+            0, 16**4, size=size, dtype=np.uint64
+        )
+        indices, state = choice_oracle(
+            np.arange(1, size + 1, dtype=np.float64) ** (-exponent), seed
+        )
+        expected = [int(values[i]) for i in indices]
+        assert self.run(sampler, seed) == (expected, state)
+
+
+BAD_WEIGHTS = {
+    "negative": [0.5, -0.1, 0.6],
+    "nan": [0.5, math.nan, 0.5],
+    "all_zero": [0.0, 0.0, 0.0],
+}
+WEIGHTED_BUILDERS = {
+    "weighted": lambda w: parts.weighted(list(range(len(w))), w),
+    "select": lambda w: parts.select(
+        "k", [(x, i, parts.constant(i)) for i, x in enumerate(w)]
+    ),
+    "mixture": lambda w: parts.mixture(
+        [(x, parts.constant(i)) for i, x in enumerate(w)]
+    ),
+}
+
+
+class TestWeightValidation:
+    """``choice``'s check on ``p`` runs once, when the sampler is built."""
+
+    @pytest.mark.parametrize("builder", sorted(WEIGHTED_BUILDERS))
+    @pytest.mark.parametrize("bad", sorted(BAD_WEIGHTS))
+    def test_bad_weights_fail_at_construction(self, builder, bad):
+        with pytest.raises(ValueError):
+            WEIGHTED_BUILDERS[builder](BAD_WEIGHTS[bad])
+
+    def test_zipf_pool_bad_exponent_fails_at_construction(self):
+        with pytest.raises(ValueError):
+            parts.zipf_pool(4, 2, seed=0, exponent=math.nan)

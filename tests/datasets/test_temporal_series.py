@@ -1,9 +1,11 @@
 """Tests for the snapshot-series generator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.temporal import detect_changes
-from repro.datasets.temporal import SnapshotSeries, TemporalEvent
+from repro.datasets.temporal import SnapshotSeries, TemporalEvent, _renumber
+from repro.ipv6.sets import AddressSet
 from repro.scan.generator import prefixes64
 
 
@@ -83,3 +85,29 @@ class TestSnapshotSeries:
         ).build()
         first, second = make(), make()
         assert all(a == b for a, b in zip(first, second))
+
+
+class TestRenumber:
+    """The vectorized renumbering equals XOR-ing each row as an int."""
+
+    @settings(max_examples=50)
+    @given(
+        st.lists(st.integers(0, (1 << 128) - 1), max_size=40),
+        st.integers(1, 0xFF),
+    )
+    def test_matches_per_int_reference(self, values, mask):
+        addresses = AddressSet.from_ints(values)
+        reference = AddressSet.from_ints(
+            [v ^ (mask << 64) for v in addresses.to_ints()]
+        )
+        assert _renumber(addresses, mask) == reference
+
+    def test_validation(self):
+        addresses = AddressSet.from_ints([1 << 64])
+        with pytest.raises(ValueError):
+            _renumber(addresses, 0)
+        with pytest.raises(ValueError):
+            _renumber(addresses, 0x100)
+        narrow = AddressSet.from_ints([1], width=16, already_truncated=True)
+        with pytest.raises(ValueError):
+            _renumber(narrow, 0xA5)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.ipv6.address import IPv6Address
 from repro.ipv6.sets import (
@@ -15,6 +16,15 @@ from repro.ipv6.sets import (
 )
 
 ADDRESS_INTS = st.integers(min_value=0, max_value=(1 << 128) - 1)
+#: Nybble matrices one and two packed words wide (the /64 and full
+#: address widths), over a small alphabet so rows share long prefixes.
+NYBBLE_MATRICES = st.sampled_from([16, 32]).flatmap(
+    lambda width: hnp.arrays(
+        np.uint8,
+        st.tuples(st.integers(0, 30), st.just(width)),
+        elements=st.sampled_from([0, 1, 0xE, 0xF]),
+    )
+)
 
 
 class TestConstruction:
@@ -258,6 +268,27 @@ class TestVectorizedEquivalence:
                 seen.add(value)
                 expected.append(position)
         assert positions.tolist() == expected
+
+    @settings(max_examples=80)
+    @given(NYBBLE_MATRICES, st.lists(st.integers(0, 1000), max_size=20))
+    def test_unique_matches_np_unique(self, matrix, repeats):
+        """The packed-word lexsort dedup returns exactly the rows, in
+        exactly the order, of numpy's row-wise unique."""
+        if len(matrix):
+            duplicates = matrix[[r % len(matrix) for r in repeats]]
+            matrix = np.concatenate([matrix, duplicates])
+        unique = AddressSet(matrix).unique()
+        expected = np.unique(matrix, axis=0)
+        assert unique.matrix.shape == expected.shape
+        assert np.array_equal(unique.matrix, expected)
+        assert np.array_equal(unique.packed_rows(), pack_rows(expected))
+
+    @pytest.mark.parametrize("width", [16, 32])
+    def test_unique_of_empty_and_all_duplicate_sets(self, width):
+        empty = np.zeros((0, width), dtype=np.uint8)
+        assert AddressSet(empty).unique().matrix.shape == (0, width)
+        same = np.full((5, width), 0xF, dtype=np.uint8)
+        assert np.array_equal(AddressSet(same).unique().matrix, same[:1])
 
 
 class TestRoundTrips:

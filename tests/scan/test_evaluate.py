@@ -96,6 +96,24 @@ class TestTrainingSizeSweep:
         )
         assert 10_000 not in results
 
+    def test_population_counted_once(self, monkeypatch):
+        """The availability check builds the population once, not once
+        per training size on top of each experiment's own build."""
+        network = build_s3(population_size=3000)
+        calls = []
+        real = type(network).population
+
+        def counting(self, seed=0):
+            calls.append(seed)
+            return real(self, seed)
+
+        monkeypatch.setattr(type(network), "population", counting)
+        results = training_size_sweep(
+            network, train_sizes=(100, 200, 10_000), n_candidates=200, seed=0
+        )
+        assert set(results) == {100, 200}
+        assert len(calls) == 1 + len(results)
+
     def test_prefix_mode(self):
         network = build_c5(population_size=10000)
         results = training_size_sweep(
