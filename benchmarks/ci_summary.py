@@ -46,10 +46,8 @@ from test_perf_generation import (
     MIN_HEADLINE_SPEEDUP,
     MIN_INGEST_ROWS_PER_SECOND,
     MIN_ORACLE_SPEEDUP,
-    MIN_PROCESS_SCALING_AT_4,
     MIN_STAGE_SPEEDUPS,
     MIN_STEADY_SPEEDUP,
-    PROCESS_PARALLEL_MIN_CORES,
     VECTORIZED_STAGES,
 )
 
@@ -169,28 +167,6 @@ def render_markdown(record: Dict) -> str:
             f"{ingest.get('mean_refit_seconds', 0)}s), "
             f"digest-identical {verdict} |"
         )
-    process_parallel = record.get("process_parallel")
-    if process_parallel:
-        verdict = "✅" if process_parallel.get("bit_identical") else "❌"
-        process_runs = [
-            run
-            for run in process_parallel.get("runs", {}).values()
-            if run.get("backend") == "process"
-        ]
-        best = max(
-            process_runs,
-            key=lambda run: run.get("speedup_vs_serial", 0.0),
-            default={},
-        )
-        lines.append(
-            f"| — | process_parallel "
-            f"({process_parallel.get('available_cpus', 0)} cpus) | "
-            f"{best.get('addresses_per_second', 0):,.0f} | "
-            f"{best.get('workers', 0)} process workers "
-            f"{best.get('speedup_vs_serial', 0)}x vs serial "
-            f"(active {best.get('active_backend', '—')}), "
-            f"bit-identical {verdict} |"
-        )
     fault = record.get("fault_overhead")
     if fault:
         verdict = "✅" if fault.get("bit_identical") else "❌"
@@ -251,14 +227,6 @@ def check_gates(record: Dict) -> List[str]:
                 "streaming ingest's drift signal never fired on the "
                 "feed's renumbering event"
             )
-    process_parallel = record.get("process_parallel")
-    if process_parallel is not None and not process_parallel.get(
-        "bit_identical"
-    ):
-        failures.append(
-            "process-parallel runs not bit-identical to the serial "
-            "reference"
-        )
     fault = record.get("fault_overhead")
     if fault is not None and not fault.get("bit_identical"):
         failures.append(
@@ -273,23 +241,6 @@ def check_gates(record: Dict) -> List[str]:
             failures.append(
                 f"fault-site overhead {ratio}x > {MAX_FAULT_OVERHEAD}x "
                 "(armed vs disarmed draw)"
-            )
-    if (
-        process_parallel is not None
-        and process_parallel.get("available_cpus", 0)
-        >= PROCESS_PARALLEL_MIN_CORES
-    ):
-        run = process_parallel.get("runs", {}).get("process_4", {})
-        if run.get("active_backend") != "process":
-            failures.append(
-                "process_4 run degraded to threads on a "
-                f"{process_parallel.get('available_cpus')}-core host"
-            )
-        if run.get("speedup_vs_serial", 0.0) < MIN_PROCESS_SCALING_AT_4:
-            failures.append(
-                f"process executor at 4 workers "
-                f"{run.get('speedup_vs_serial', 0.0)}x < "
-                f"{MIN_PROCESS_SCALING_AT_4}x vs serial"
             )
     if ingest is not None:
         refit_cap = ingest.get("reference_refits", 0) * MAX_INGEST_REFIT_FRACTION

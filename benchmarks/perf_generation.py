@@ -49,16 +49,6 @@ requests/s with p50/p99 request latency and verifying every served
 stream bit-identical to the serial direct-library reference
 (``identical_to_direct``).
 
-The process-parallel PR adds a top-level ``process_parallel`` record:
-the sharded engine run on the same seed across executor backends —
-serial reference, thread executor, and the process executor at rising
-worker counts (4/8 only where the host's affinity mask grants the
-cores) — verifying the packed rows bit-identical across every run
-(``workers``/``exec_backend`` are throughput knobs, never stream
-parameters) and recording per-run seconds, ``active_backend`` (did a
-process run actually run on processes, or degrade to threads?) and
-speedups vs the serial reference.
-
 The streaming-ingest PR adds a top-level ``streaming_ingest`` record:
 the :class:`~repro.ingest.IngestPipeline` fed a drifting temporal
 snapshot series in batches, recording sustained ingest rows/s, refit
@@ -808,108 +798,6 @@ def measure_service_stage(n_candidates: int, seed: int = 0) -> Optional[Dict]:
     }
 
 
-#: The process-parallel stage runs on the pure-throughput network so
-#: the executor comparison is not confounded by duplicate suppression.
-PROCESS_PARALLEL_NETWORK = "S1"
-
-
-def measure_process_parallel_stage(
-    n_candidates: int, seed: int = 0
-) -> Optional[Dict]:
-    """Time the sharded engine across executor backends and verify the
-    bit-identity contract.
-
-    Every run draws the same stream — a fresh session, the same seed —
-    through a different executor plan: the serial reference
-    (``workers=1``), the thread executor at two workers, and the
-    process executor at 2 workers plus 4 and 8 where the host's
-    affinity mask grants the cores.  (A ``workers=1`` process plan
-    would be a lie: ``WorkerPool.map`` runs single-worker pools
-    inline, so no process executor ever starts and the run would just
-    re-measure the serial path under a ``process`` label.)  The
-    packed rows must be
-    bit-identical across all of them: shard decomposition is a pure
-    function of (caller RNG, shards), so ``workers`` and
-    ``exec_backend`` may only change wall time.  Per-run
-    ``active_backend`` records whether a process run actually executed
-    on processes or gracefully degraded to threads; speedups are vs
-    the serial reference.  The near-linear-scaling gate in
-    ``test_perf_generation`` reads ``available_cpus`` from this record
-    so it only arms on multi-core hosts — a 1-2 core CI runner cannot
-    observe scaling.  Returns None on trees without the process
-    backend.
-    """
-    import inspect
-
-    try:
-        from repro.exec.pool import available_cpus
-    except ImportError:
-        return None
-    from repro.core.pipeline import EntropyIP
-    from repro.datasets.networks import build_network
-
-    network = build_network(PROCESS_PARALLEL_NETWORK)
-    train = network.sample(TRAIN_SIZE, seed=seed)
-    model = EntropyIP.fit(train).model
-    if (
-        "exec_backend"
-        not in inspect.signature(model.generate_set).parameters
-    ):
-        return None
-    cpus = available_cpus()
-    plans = [("serial", 1, None), ("thread_2", 2, "thread")]
-    plans += [
-        (f"process_{w}", w, "process")
-        for w in [2] + [w for w in (4, 8) if cpus >= w]
-    ]
-
-    runs: Dict[str, Dict] = {}
-    rows: Dict[str, np.ndarray] = {}
-    for label, workers, backend in plans:
-        session = model.session(exclude=train)
-        try:
-            rng = np.random.default_rng(seed + 7)
-            out, elapsed = _timed(
-                lambda: model.generate_set(
-                    n_candidates,
-                    rng,
-                    state=session,
-                    workers=workers,
-                    exec_backend=backend,
-                )
-            )
-            rows[label] = out.packed_rows()
-            runs[label] = {
-                "workers": workers,
-                "backend": backend or "thread",
-                "active_backend": session.get_pool(
-                    workers, backend
-                ).active_backend,
-                "seconds": round(elapsed, 6),
-                "addresses_per_second": (
-                    round(n_candidates / elapsed, 1) if elapsed else 0.0
-                ),
-            }
-        finally:
-            session.close()
-    serial_seconds = runs["serial"]["seconds"]
-    for label, run in runs.items():
-        if label != "serial" and run["seconds"]:
-            run["speedup_vs_serial"] = round(
-                serial_seconds / run["seconds"], 2
-            )
-    reference = rows["serial"]
-    return {
-        "network": PROCESS_PARALLEL_NETWORK,
-        "available_cpus": cpus,
-        "rows": n_candidates,
-        "bit_identical": bool(
-            all(np.array_equal(reference, words) for words in rows.values())
-        ),
-        "runs": runs,
-    }
-
-
 #: The streaming-ingest stage: a drifting temporal feed (steady churn,
 #: plus a renumbering event at the first post-training snapshot so the
 #: event signal is observable undiluted) sliced into per-snapshot
@@ -1049,8 +937,8 @@ def measure_fault_overhead_stage(
 ) -> Optional[Dict]:
     """Price the fault-injection probes woven into the generation path.
 
-    The fault harness plants ``fault_point`` probes inside the
-    executor's dispatch loop and per-shard tasks.  Disarmed (no plan)
+    The fault harness plants a ``fault_point`` probe inside the sharded
+    engine's per-shard task.  Disarmed (no plan)
     a probe is a single module-global read; armed with a plan whose
     rules never match it adds one site lookup per shard.  This stage
     times the identical sharded draw both ways on the same host — best
@@ -1138,9 +1026,6 @@ def measure(
     ingest = measure_streaming_ingest_stage(n_candidates, seed=seed)
     if ingest is not None:
         result["streaming_ingest"] = ingest
-    process_parallel = measure_process_parallel_stage(n_candidates, seed=seed)
-    if process_parallel is not None:
-        result["process_parallel"] = process_parallel
     fault_overhead = measure_fault_overhead_stage(n_candidates, seed=seed)
     if fault_overhead is not None:
         result["fault_overhead"] = fault_overhead

@@ -42,10 +42,6 @@ from repro.viz.figures import (
     render_mining_table,
 )
 
-#: Execution backends for sharded draws (see :mod:`repro.exec.pool`);
-#: emitted rows are identical on either — only throughput differs.
-EXEC_BACKEND_CHOICES = ("thread", "process")
-
 
 def _read_addresses(path: str) -> List[str]:
     stream = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
@@ -83,7 +79,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             args.count,
             seed=args.seed,
             workers=args.workers or None,
-            exec_backend=args.exec_backend,
         )
     for address in candidates.addresses():
         print(address.compressed())
@@ -106,7 +101,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         n_candidates=args.count,
         seed=args.seed,
         workers=args.workers or None,
-        exec_backend=args.exec_backend,
     )
     print(result.row())
     return 0
@@ -309,7 +303,6 @@ def _serve_synthetic(service, name: str, args: argparse.Namespace) -> int:
                 args.count,
                 seed=args.seed + index,
                 workers=args.workers or None,
-                exec_backend=args.exec_backend,
             )
 
     threads = [
@@ -414,7 +407,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             seed=args.seed,
             capacity=args.capacity,
             workers=args.workers or None,
-            exec_backend=args.exec_backend,
         )
         before = service.generate(args.name, "monitor", args.count)
         per_snapshot = max(1, args.batches)
@@ -497,11 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--workers", type=int, default=0,
                           help="shard generation across N worker threads "
                           "(0 = serial; output depends only on the seed)")
-    generate.add_argument("--exec-backend", choices=EXEC_BACKEND_CHOICES,
-                          default=None,
-                          help="where sharded draws run (with --workers; "
-                          "thread default, process for multi-core; output "
-                          "is identical, and ignored on serial runs)")
     generate.set_defaults(func=_cmd_generate)
 
     dataset = sub.add_parser("dataset", help="emit a built-in synthetic set")
@@ -518,11 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--workers", type=int, default=0,
                       help="shard generation and oracle scoring across N "
                       "worker threads (0 = serial)")
-    scan.add_argument("--exec-backend", choices=EXEC_BACKEND_CHOICES,
-                      default=None,
-                      help="where sharded draws run (with --workers; "
-                      "thread default, process for multi-core; results "
-                      "are identical, and ignored on serial runs)")
     scan.set_defaults(func=_cmd_scan)
 
     mi = sub.add_parser("mi", help="mutual-information heat map")
@@ -563,10 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="concurrent client threads in synthetic mode")
     serve.add_argument("--workers", type=int, default=0,
                        help="shard each draw across N worker threads")
-    serve.add_argument("--exec-backend", choices=EXEC_BACKEND_CHOICES,
-                       default=None,
-                       help="where each session's sharded draws run (with "
-                       "--workers; thread default, process for multi-core)")
     serve.add_argument("--service-workers", type=int, default=2,
                        help="service worker threads draining the queue")
     serve.add_argument("--max-pending", type=int, default=64,
@@ -606,10 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--seed", type=int, default=0)
     ingest.add_argument("--workers", type=int, default=0,
                         help="shard monitor draws across N worker threads")
-    ingest.add_argument("--exec-backend", choices=EXEC_BACKEND_CHOICES,
-                        default=None,
-                        help="where the monitor stream's sharded draws run "
-                        "(with --workers)")
     ingest.add_argument("--capacity", type=int, default=0,
                         help="capacity cap of the monitor stream (0 = "
                         "uncapped)")

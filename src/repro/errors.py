@@ -93,18 +93,6 @@ class StaleModelError(ReproError, RuntimeError):
     silently clobber someone else's model."""
 
 
-class ExecBackendError(ReproError, ValueError):
-    """An execution backend the worker pool cannot provide.
-
-    Raised for backend names outside
-    :data:`repro.exec.pool.EXEC_BACKENDS`, or when the process backend
-    cannot start *and* automatic fallback to the thread backend was
-    disabled (``WorkerPool(..., fallback=False)``).  With fallback
-    enabled (the default) a failed process start degrades to threads
-    silently — the output is bit-identical either way, only throughput
-    differs."""
-
-
 class RequestTimeoutError(ReproError, RuntimeError):
     """A queued request's deadline expired before a worker picked it
     up — the work function never ran.
@@ -126,8 +114,10 @@ class CheckpointError(ReproError, RuntimeError):
 
 class FaultPlanError(ReproError, ValueError):
     """A fault-injection plan string that cannot be parsed (see
-    :mod:`repro.faults` for the ``site@selector:action`` grammar) or
-    names an exception outside the injectable allowlist."""
+    :mod:`repro.faults` for the ``site@selector:action`` grammar), or
+    a rule that could never fire: a site not woven into the package,
+    a selector out of range, or an exception outside the injectable
+    allowlist."""
 
 
 class DriftWindowOverflowError(ReproError, RuntimeError):
@@ -144,7 +134,6 @@ class DriftWindowOverflowError(ReproError, RuntimeError):
 __all__ = [
     "CheckpointError",
     "DriftWindowOverflowError",
-    "ExecBackendError",
     "FaultPlanError",
     "IngestDriftError",
     "ModelDigestMismatch",

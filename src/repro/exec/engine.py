@@ -8,26 +8,15 @@ outputs are merged *in shard order* into the same growing
 :class:`~repro.ipv6.sets.BucketTable` dedup the serial loop uses.  The
 decomposition (shard count, shard sizes, shard streams) is a pure
 function of the caller's RNG and ``shards`` — workers only decide how
-many shards run concurrently, and ``exec_backend`` only decides
-*where* they run — so ``workers=N`` output is bit-identical to
-``workers=1`` at the same seed, on either backend.
-
-Under ``exec_backend="process"`` each shard task is a module-level
-function (:func:`_draw_shard_task`) whose payload carries the pickled
-model once per generation call; worker processes unpickle it once and
-cache it by content digest, so steady-state rounds ship only the shard
-size and its ``SeedSequence`` across the boundary, and each shard
-ships back its packed-uint64 word array (fused path) or its
-``(matrix, words)`` pair (two-step path) as pickled numpy buffers,
-merged in shard order on the caller's thread.
+many shards run concurrently — so ``workers=N`` output is bit-identical
+to ``workers=1`` at the same seed.
 
 Zero-size shards (a batch smaller than ``shards``) are never
 dispatched: skipping an empty shard is output-neutral because each
 shard's RNG stream is independent and an empty shard contributes no
-rows — and the task itself short-circuits ``size == 0`` to
-correctly-shaped empty arrays without touching its RNG, so the path
-is explicitly safe on the fused route, the two-step route, and both
-backends.
+rows — and the shard task itself short-circuits ``size == 0`` to
+correctly-shaped empty arrays without touching its RNG, so the path is
+explicitly safe on both the fused and the two-step route.
 
 :func:`sharded_map_rows` is the scoring-side helper: it splits a row
 range into contiguous chunks and runs a pure per-chunk function across
@@ -37,14 +26,11 @@ functions, so this is trivially exact for any worker count.
 
 from __future__ import annotations
 
-import hashlib
-import pickle
-from collections import OrderedDict
 from typing import Optional
 
 import numpy as np
 
-from repro.exec.pool import WorkerPool, resolve_exec_backend
+from repro.exec.pool import WorkerPool
 from repro.exec.sharding import (
     derive_seed_sequence,
     shard_bounds,
@@ -55,33 +41,12 @@ from repro.ipv6.sets import AddressSet
 
 #: Default shard count per generation round.  Part of the determinism
 #: contract: changing ``shards`` changes which RNG stream draws which
-#: row (and therefore the output); changing ``workers`` or
-#: ``exec_backend`` never does.
+#: row (and therefore the output); changing ``workers`` never does.
 DEFAULT_SHARDS = 8
 
 #: Row count below which sharded scoring is not worth the thread
 #: handoff; the chunk function runs inline instead.
 MIN_ROWS_PER_SHARD = 4096
-
-#: Per-process cache of unpickled models, keyed by content digest of
-#: the pickled payload — a worker in a long-lived process pool pays
-#: the unpickle once per model, not once per shard.  Bounded so a
-#: process serving many models over its lifetime cannot grow without
-#: limit.
-_MODEL_CACHE: "OrderedDict[str, object]" = OrderedDict()
-_MODEL_CACHE_LIMIT = 4
-
-
-def _cached_model(token: str, payload: bytes):
-    model = _MODEL_CACHE.get(token)
-    if model is None:
-        model = pickle.loads(payload)
-        _MODEL_CACHE[token] = model
-        while len(_MODEL_CACHE) > _MODEL_CACHE_LIMIT:
-            _MODEL_CACHE.popitem(last=False)
-    else:
-        _MODEL_CACHE.move_to_end(token)
-    return model
 
 
 def _empty_shard(width: int, fused: bool):
@@ -90,38 +55,6 @@ def _empty_shard(width: int, fused: bool):
     if fused:
         return None, words
     return np.zeros((0, width), dtype=np.uint8), words
-
-
-def _draw_shard_task(args):
-    """One shard's draw, shaped for the process boundary.
-
-    ``args`` is ``(token, payload, use_fused, resolved, size, child,
-    call_index, shard_index)``: everything is plain picklable data, and
-    the function is module-level, so a ``ProcessPoolExecutor`` can ship
-    it.  The same function runs unchanged on the thread backend after a
-    process-start fallback (the in-process model cache then makes the
-    unpickle a one-time cost there too).  The trailing indices identify
-    the shard deterministically — call number within the generation
-    call, shard position within the round's decomposition — for the
-    ``pool.shard`` fault site, regardless of which worker runs it.
-    """
-    token, payload, use_fused, resolved, size, child, call_index, shard_index = args
-    fault_point("pool.shard", call=call_index, shard=shard_index)
-    model = _cached_model(token, payload)
-    if size == 0:
-        return _empty_shard(model.encoder.width, use_fused)
-    rng = np.random.default_rng(child)
-    if use_fused:
-        from repro.bayes.sampling import sample_packed
-
-        # fused_plan() is a cached pure function of the encoder, so
-        # recomputing it worker-side is cheaper (and simpler) than
-        # pickling the plan's pre-shifted tables with every payload.
-        plan = model.encoder.fused_plan()
-        return None, sample_packed(model.network, plan, size, rng)
-    codes = model.sample_codes(size, rng, resolved)
-    decoded = model.encoder.decode_to_set(codes, rng, validate=False)
-    return decoded.matrix, decoded.packed_rows()
 
 
 def sharded_generate_set(
@@ -135,14 +68,13 @@ def sharded_generate_set(
     shards: Optional[int] = None,
     state=None,
     fused: Optional[bool] = None,
-    exec_backend: Optional[str] = None,
 ) -> AddressSet:
     """Generate ``n`` distinct candidate rows across a worker pool.
 
     See :meth:`repro.core.model.AddressModel.generate_set` for the
-    contract; this is the engine behind its ``workers=``/``shards=``/
-    ``exec_backend=`` parameters.  Both paths run the one shared round
-    loop (:func:`~repro.core.model.run_generation_rounds`) — identical
+    contract; this is the engine behind its ``workers=``/``shards=``
+    parameters.  Both paths run the one shared round loop
+    (:func:`~repro.core.model.run_generation_rounds`) — identical
     oversampling policy, saturation guard and first-occurrence
     semantics — and differ only in how each batch is drawn.  ``state``
     (a persistent :class:`~repro.core.model.GenerationSession`) is
@@ -150,10 +82,9 @@ def sharded_generate_set(
     in shard order on the caller's thread, so worker count still never
     changes the output or the session's final contents.  A session also
     owns the pool: repeated calls against one session reuse one
-    long-lived executor per ``(workers, exec_backend)`` instead of
-    re-spawning threads/processes per call (the session's ``close``
-    releases them); stateless calls own a pool for the call and close
-    it on the way out.
+    long-lived executor per ``workers`` count instead of re-spawning
+    threads per call (the session's ``close`` releases them); stateless
+    calls own a pool for the call and close it on the way out.
 
     ``fused`` follows the serial path's semantics: by default each
     shard runs :func:`~repro.bayes.sampling.sample_packed` against its
@@ -162,12 +93,6 @@ def sharded_generate_set(
     two-step draw, so the merged output — and the ``workers=N`` ≡
     ``workers=1`` promise — is unchanged); ``fused=False`` forces the
     two-step reference in every shard.
-
-    ``exec_backend`` picks where shards execute (``"thread"`` default,
-    ``"process"`` for real multi-core scaling); it is a pure throughput
-    knob — the decomposition above never depends on it, so thread and
-    process output is bit-identical.  A process pool that cannot start
-    falls back to threads (see :class:`~repro.exec.pool.WorkerPool`).
     """
     from repro.bayes.sampling import sample_packed
     from repro.core.model import run_generation_rounds
@@ -185,58 +110,27 @@ def sharded_generate_set(
     )
     width = model.encoder.width
     seed_sequence = derive_seed_sequence(rng)
-    backend = resolve_exec_backend(exec_backend)
     if state is not None and hasattr(state, "get_pool"):
-        pool = state.get_pool(workers, backend)
+        pool = state.get_pool(workers)
         owns_pool = False
     else:
-        pool = WorkerPool(workers, backend=backend)
+        pool = WorkerPool(workers)
         owns_pool = True
 
-    payload = None
-    if pool.active_backend == "process":
-        # One pickle of the model per generation call; shards re-ship
-        # the same bytes object (a memcpy) and worker processes cache
-        # the unpickled model by content digest.  A model that cannot
-        # cross the process boundary degrades to the thread task form
-        # like every other process-path failure (ExecBackendError when
-        # the pool was built with fallback=False) instead of raising
-        # raw out of the one spot the fallback machinery didn't cover.
-        try:
-            payload = pickle.dumps(model)
-        except Exception as exc:
-            pool.degrade_to_threads(exc)
-
-    if payload is not None:
-        token = hashlib.sha1(payload).hexdigest()
-
-        def make_task(size: int, child, call_index: int, shard_index: int):
-            return (
-                token, payload, plan is not None, resolved, size, child,
-                call_index, shard_index,
-            )
-
-        task_fn = _draw_shard_task
-    else:
-
-        def make_task(size: int, child, call_index: int, shard_index: int):
-            return (size, child, call_index, shard_index)
-
-        def task_fn(args):
-            size, child, call_index, shard_index = args
-            fault_point("pool.shard", call=call_index, shard=shard_index)
-            if size == 0:
-                return _empty_shard(width, plan is not None)
-            shard_rng = np.random.default_rng(child)
-            if plan is not None:
-                return None, sample_packed(
-                    model.network, plan, size, shard_rng
-                )
-            codes = model.sample_codes(size, shard_rng, resolved)
-            decoded = model.encoder.decode_to_set(
-                codes, shard_rng, validate=False
-            )
-            return decoded.matrix, decoded.packed_rows()
+    def draw_shard(task):
+        """One shard's draw; ``call_index``/``shard_index`` identify
+        the shard deterministically for the ``pool.shard`` fault site,
+        regardless of which worker runs it."""
+        size, child, call_index, shard_index = task
+        fault_point("pool.shard", call=call_index, shard=shard_index)
+        if size == 0:
+            return _empty_shard(width, plan is not None)
+        shard_rng = np.random.default_rng(child)
+        if plan is not None:
+            return None, sample_packed(model.network, plan, size, shard_rng)
+        codes = model.sample_codes(size, shard_rng, resolved)
+        decoded = model.encoder.decode_to_set(codes, shard_rng, validate=False)
+        return decoded.matrix, decoded.packed_rows()
 
     call_count = 0
 
@@ -250,13 +144,13 @@ def sharded_generate_set(
         # independent and they contribute zero rows, so the merged
         # output is unchanged — and no worker ever sees size == 0.
         tasks = [
-            make_task(int(size), child, call_index, shard_index)
+            (int(size), child, call_index, shard_index)
             for shard_index, (size, child) in enumerate(zip(sizes, children))
             if size > 0
         ]
         if not tasks:
             return _empty_shard(width, plan is not None)
-        parts = pool.map(task_fn, tasks)
+        parts = pool.map(draw_shard, tasks)
         words = np.vstack([part[1] for part in parts])
         if plan is not None:
             return None, words
@@ -283,7 +177,6 @@ def sharded_map_rows(
     n_rows: int,
     workers: Optional[int] = None,
     shards: Optional[int] = None,
-    exec_backend: Optional[str] = None,
 ):
     """Run ``fn(start, stop)`` over contiguous row chunks; concatenate.
 
@@ -291,12 +184,9 @@ def sharded_map_rows(
     2-D array of ``stop - start`` rows (an oracle mask, match
     positions, ...).  With one worker — or too few rows to be worth
     the handoff — the single full-range call runs inline, so serial
-    callers pay nothing.  ``exec_backend="process"`` applies only when
-    ``fn`` is picklable (a module-level function); the closure-shaped
-    oracle scorers degrade to the thread backend automatically, which
-    is output-neutral.
+    callers pay nothing.
     """
-    pool = WorkerPool(workers, backend=exec_backend)
+    pool = WorkerPool(workers)
     if shards is None:
         shards = pool.workers
     if (

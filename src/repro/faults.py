@@ -1,22 +1,17 @@
 """Deterministic fault injection for the exec/serve/ingest hot paths.
 
-The fault-tolerance layer (mid-run worker recovery, request deadlines,
-checkpoint/restore) is only trustworthy if its failure paths can be
-exercised *deterministically* — "kill the process worker on shard 3 of
-call 2" must mean exactly that run after run, so a recovered run can
-be asserted bit-identical to the fault-free one.  This module provides
-that: named **fault sites** woven into the hot paths, and a
-declarative :class:`FaultPlan` that arms specific faults at specific
-sites.
+The fault-tolerance layer (request deadlines, checkpoint/restore) is
+only trustworthy if its failure paths can be exercised
+*deterministically* — "fail shard 3 of call 2" must mean exactly that
+run after run, so a recovered run can be asserted bit-identical to the
+fault-free one.  This module provides that: named **fault sites** woven
+into the hot paths, and a declarative :class:`FaultPlan` that arms
+specific faults at specific sites.
 
-Sites currently woven in:
+Sites currently woven in (:data:`SITES`):
 
 ========================  ====================================================
-``pool.dispatch``         parent side, once per task submitted by
-                          :meth:`repro.exec.pool.WorkerPool.map` on a
-                          parallel path (selector = Nth submission)
-``pool.shard``            inside the shard task (worker side, for the
-                          process backend inside the worker *process*);
+``pool.shard``            inside the shard task of the sharded engine;
                           selector = Nth hit or ``call.shard``
 ``service.worker``        a :class:`~repro.serve.service.HitlistService`
                           worker thread, just before executing a request
@@ -34,29 +29,32 @@ Plans
 A plan is a semicolon-separated list of rules, each
 ``site@selector:action``:
 
+- ``site`` is one of :data:`SITES`.
 - ``selector`` is either ``N`` (the Nth time that site fires,
-  1-based, counted per process) or ``C.S`` (for per-shard sites:
-  call ``C``, shard ``S``, both 0-based — deterministic regardless of
-  which worker runs the shard).
-- ``action`` is ``kill`` (``os._exit(1)`` — simulates a crashed
-  process worker; only meaningful at worker-side sites) or
+  1-based, ``N >= 1``, counted per process) or ``C.S`` (for the
+  per-shard sites in :data:`SHARD_SITES`: call ``C``, shard ``S``,
+  both 0-based — deterministic regardless of which worker runs the
+  shard).
+- ``action`` is ``kill`` (``os._exit(1)`` — simulates the process
+  dying mid-operation, for the checkpoint/resume paths) or
   ``raise=ExcName`` with ``ExcName`` from :data:`INJECTABLE_ERRORS`.
 
-Each rule fires **once**.  Examples::
+A rule that could never fire (an unknown site, a selector out of
+range) is a :class:`~repro.errors.FaultPlanError` at parse time, not
+a plan that silently tests nothing.  Each rule fires **once**.
+Examples::
 
-    pool.shard@2.3:kill             # kill the worker on shard 3 of call 2
-    pool.dispatch@5:raise=OSError   # raise OSError on the 5th dispatch
+    pool.shard@2.3:raise=OSError    # fail shard 3 of call 2
+    checkpoint.save@2:kill          # die before the 2nd checkpoint commit
     service.worker@1:raise=RuntimeError
 
 Arm a plan for a block of code::
 
-    with FaultPlan.parse("pool.shard@0.1:kill").armed():
-        model.generate_set(n, rng, workers=4, exec_backend="process")
+    with FaultPlan.parse("pool.shard@0.1:raise=OSError").armed():
+        model.generate_set(n, rng, workers=4)
 
-or for a whole process tree via ``REPRO_FAULT_PLAN`` in the
-environment — child worker processes re-read the variable on import,
-and :meth:`FaultPlan.armed` exports it too, so a forkserver child
-spawned mid-block still sees the plan.
+or for a whole process via ``REPRO_FAULT_PLAN`` in the environment,
+which is parsed when this module is imported.
 """
 
 from __future__ import annotations
@@ -67,18 +65,16 @@ from typing import Dict, List, Optional
 
 from repro.errors import FaultPlanError
 
-#: Environment variable holding a plan string; parsed at import time in
-#: every process (parent and pool workers alike).
+#: Environment variable holding a plan string; parsed at import time.
 PLAN_ENV = "REPRO_FAULT_PLAN"
 
-#: Environment variable holding the plan's cross-process scoreboard
-#: directory.  A rule must fire exactly once across the whole process
-#: tree — a ``kill`` rule that re-armed in every freshly forked
-#: replacement worker would kill the re-dispatched shard forever —
-#: but plan objects are per-process, so the "already fired" latch
-#: lives as one file per rule in this directory, touched *before* the
-#: fault acts.  :meth:`FaultPlan.armed` creates it automatically.
-SCOREBOARD_ENV = "REPRO_FAULT_BOARD"
+#: Every fault site woven into the package.  A rule naming any other
+#: site could never fire, so :meth:`FaultPlan.parse` rejects it.
+SITES = ("pool.shard", "service.worker", "ingest.refit", "checkpoint.save")
+
+#: The sites that report ``call``/``shard`` coordinates, and so the
+#: only ones a ``C.S`` selector can match.
+SHARD_SITES = ("pool.shard",)
 
 #: Exceptions a ``raise=`` action may name.  A deliberately small
 #: allowlist of the error types the recovery paths are written against
@@ -132,9 +128,6 @@ class FaultPlan:
         self.rules = rules
         self._hits: Dict[str, int] = {}
         self._lock = threading.Lock()
-        self._text: Optional[str] = None
-        #: Cross-process fired-latch directory (see SCOREBOARD_ENV).
-        self._board: Optional[str] = None
 
     # -- construction --------------------------------------------------
 
@@ -183,37 +176,32 @@ class FaultPlan:
                 raise FaultPlanError(
                     f"fault rule {chunk!r} selector must be N or CALL.SHARD"
                 ) from None
+            # Well-formed; now reject rules that could never fire.
+            if site not in SITES:
+                raise FaultPlanError(
+                    f"fault rule {chunk!r} names site {site!r}, not one "
+                    f"of {'/'.join(SITES)}"
+                )
+            if rule.nth is not None and rule.nth < 1:
+                raise FaultPlanError(
+                    f"fault rule {chunk!r} selector N must be >= 1"
+                )
+            if rule.nth is None:
+                if site not in SHARD_SITES:
+                    raise FaultPlanError(
+                        f"fault rule {chunk!r}: site {site!r} takes N, "
+                        f"not CALL.SHARD"
+                    )
+                if rule.call < 0 or rule.shard < 0:
+                    raise FaultPlanError(
+                        f"fault rule {chunk!r} CALL and SHARD must be >= 0"
+                    )
             rules.append(rule)
         if not rules:
             raise FaultPlanError(f"fault plan {text!r} contains no rules")
-        plan = cls(rules)
-        plan._text = text
-        return plan
+        return cls(rules)
 
     # -- matching ------------------------------------------------------
-
-    def _rule_fired(self, index: int) -> bool:
-        rule = self.rules[index]
-        if rule.fired:
-            return True
-        if self._board is not None and os.path.exists(
-            os.path.join(self._board, str(index))
-        ):
-            rule.fired = True  # cache the cross-process latch locally
-            return True
-        return False
-
-    def _mark_fired(self, index: int) -> None:
-        self.rules[index].fired = True
-        if self._board is not None:
-            # Touch the latch *before* the fault acts: a kill that
-            # exits this process must not leave the rule armed for the
-            # replacement worker that re-runs the same shard.
-            try:
-                with open(os.path.join(self._board, str(index)), "w"):
-                    pass
-            except OSError:  # pragma: no cover - board dir removed
-                pass
 
     def _select(
         self, site: str, call: Optional[int], shard: Optional[int]
@@ -221,17 +209,16 @@ class FaultPlan:
         with self._lock:
             hit = self._hits.get(site, 0) + 1
             self._hits[site] = hit
-            for index, rule in enumerate(self.rules):
-                if rule.site != site or self._rule_fired(index):
+            for rule in self.rules:
+                if rule.site != site or rule.fired:
                     continue
                 if rule.nth is not None:
-                    if hit == rule.nth:
-                        self._mark_fired(index)
-                        return rule
-                elif call is not None and shard is not None:
-                    if call == rule.call and shard == rule.shard:
-                        self._mark_fired(index)
-                        return rule
+                    matched = hit == rule.nth
+                else:
+                    matched = call == rule.call and shard == rule.shard
+                if matched:
+                    rule.fired = True
+                    return rule
         return None
 
     def hits(self, site: str) -> int:
@@ -240,20 +227,14 @@ class FaultPlan:
             return self._hits.get(site, 0)
 
     def fired(self) -> int:
-        """How many rules have triggered — in this process or, with a
-        scoreboard, anywhere in the process tree."""
+        """How many rules have triggered."""
         with self._lock:
-            return sum(
-                1 for index in range(len(self.rules))
-                if self._rule_fired(index)
-            )
+            return sum(1 for rule in self.rules if rule.fired)
 
     # -- arming --------------------------------------------------------
 
     def armed(self) -> "_ArmedPlan":
-        """Context manager arming this plan process-wide (and exporting
-        :data:`PLAN_ENV` so pool workers started inside the block
-        inherit it)."""
+        """Context manager arming this plan process-wide."""
         return _ArmedPlan(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -264,56 +245,28 @@ class _ArmedPlan:
     def __init__(self, plan: FaultPlan):
         self._plan = plan
         self._prev_plan: Optional[FaultPlan] = None
-        self._prev_env: Dict[str, Optional[str]] = {}
-        self._owns_board = False
 
     def __enter__(self) -> FaultPlan:
         global _PLAN
-        import tempfile
-
         self._prev_plan = _PLAN
-        self._prev_env = {
-            PLAN_ENV: os.environ.get(PLAN_ENV),
-            SCOREBOARD_ENV: os.environ.get(SCOREBOARD_ENV),
-        }
-        if self._plan._board is None:
-            self._plan._board = tempfile.mkdtemp(prefix="repro-faults-")
-            self._owns_board = True
         _PLAN = self._plan
-        if self._plan._text is not None:
-            os.environ[PLAN_ENV] = self._plan._text
-        os.environ[SCOREBOARD_ENV] = self._plan._board
         return self._plan
 
     def __exit__(self, *exc_info) -> None:
         global _PLAN
         _PLAN = self._prev_plan
-        for key, value in self._prev_env.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        if self._owns_board:
-            import shutil
-
-            shutil.rmtree(self._plan._board, ignore_errors=True)
-            self._plan._board = None
-            self._owns_board = False
 
 
 def _plan_from_env() -> Optional[FaultPlan]:
     text = os.environ.get(PLAN_ENV)
     if not text:
         return None
-    plan = FaultPlan.parse(text)
-    plan._board = os.environ.get(SCOREBOARD_ENV)
-    return plan
+    return FaultPlan.parse(text)
 
 
 #: The armed plan, or ``None`` (the common case).  Every fault site
 #: reads this exactly once; ``None`` short-circuits before any other
-#: work.  Initialized from the environment so worker processes —
-#: forked, forkserver'd, or spawned — arm themselves on import.
+#: work.  Initialized from the environment at import.
 _PLAN: Optional[FaultPlan] = _plan_from_env()
 
 
@@ -334,9 +287,8 @@ def fault_point(
     if rule is None:
         return
     if rule.action == "kill":
-        # Simulate a crashed worker process: no cleanup, no exception
-        # propagation — the parent sees BrokenProcessPool, exactly as
-        # for a real segfault/OOM kill.
+        # Simulate the process dying here: no cleanup, no exception
+        # propagation, exactly as for a real segfault/OOM kill.
         os._exit(1)
     raise INJECTABLE_ERRORS[rule.exc_name](
         f"injected fault at {site} "
@@ -347,7 +299,8 @@ def fault_point(
 __all__ = [
     "INJECTABLE_ERRORS",
     "PLAN_ENV",
-    "SCOREBOARD_ENV",
+    "SHARD_SITES",
+    "SITES",
     "FaultPlan",
     "FaultRule",
     "active_plan",

@@ -94,7 +94,6 @@ class ScanCampaign:
         adaptive: bool = False,
         seed: int = 0,
         workers: "int | None" = None,
-        exec_backend: "str | None" = None,
     ):
         if probe_budget < 1 or round_size < 1:
             raise ValueError("budget and round size must be positive")
@@ -108,10 +107,6 @@ class ScanCampaign:
         # engine (repro.exec); campaign outcomes are bit-identical for
         # any N because the shard decomposition is worker-independent.
         self._workers = workers
-        # exec_backend= picks where sharded draws execute ("thread"
-        # default, "process" for multi-core scaling); like workers it
-        # is a pure throughput knob — outcomes are bit-identical.
-        self._exec_backend = exec_backend
 
     def run(self) -> CampaignResult:
         """Probe until the budget is exhausted; return the full record.
@@ -136,7 +131,6 @@ class ScanCampaign:
             exclude=train,
             capacity=len(train) + self._budget,
             workers=self._workers,
-            exec_backend=self._exec_backend,
         ).open(analysis.model)
         train_64s = train.prefixes64()
         hit_chunks: List[np.ndarray] = []
@@ -158,7 +152,6 @@ class ScanCampaign:
                     self._rng,
                     state=session,
                     workers=self._workers,
-                    exec_backend=self._exec_backend,
                 )
                 if len(candidates) == 0:
                     break  # model support exhausted
@@ -213,7 +206,7 @@ class ScanCampaign:
                     analysis = EntropyIP.fit(train, width=train.width)
         finally:
             # Release the session's long-lived worker pools — a
-            # campaign must not leave executor threads/processes alive.
+            # campaign must not leave executor threads alive.
             session.close()
         if hit_chunks:
             discovered = AddressSet(np.vstack(hit_chunks))
@@ -255,7 +248,6 @@ class ScanCampaign:
                 self._rng,
                 exclude=probed_words,
                 workers=self._workers,
-                exec_backend=self._exec_backend,
             )
             if len(candidates) == 0:
                 break  # model support exhausted
@@ -302,7 +294,6 @@ def run_campaign(
     adaptive: bool = False,
     seed: int = 0,
     workers: "int | None" = None,
-    exec_backend: "str | None" = None,
 ) -> CampaignResult:
     """Functional one-shot interface to :class:`ScanCampaign`."""
     return ScanCampaign(
@@ -313,5 +304,4 @@ def run_campaign(
         adaptive=adaptive,
         seed=seed,
         workers=workers,
-        exec_backend=exec_backend,
     ).run()

@@ -97,7 +97,6 @@ def scan_experiment(
     dataset_size: Optional[int] = None,
     seed: int = 0,
     workers: Optional[int] = None,
-    exec_backend: Optional[str] = None,
 ) -> ScanResult:
     """Run the full §5.5 scanning experiment against one network.
 
@@ -107,9 +106,7 @@ def scan_experiment(
 
     ``workers`` runs generation and oracle scoring across a worker
     pool (see :mod:`repro.exec`); results are bit-identical for any
-    worker count, including the serial default.  ``exec_backend``
-    picks where the shards run (``"thread"`` default, ``"process"``
-    for multi-core scaling) — also output-neutral.
+    worker count, including the serial default.
     """
     population = network.population(seed)
     responder = SimulatedResponder(
@@ -136,7 +133,6 @@ def scan_experiment(
         exclude=train,
         capacity=n_candidates + len(train),
         workers=workers,
-        exec_backend=exec_backend,
     ).open(analysis.model)
     try:
         candidates = analysis.model.generate_set(
@@ -144,7 +140,6 @@ def scan_experiment(
             rng,
             state=session,
             workers=workers,
-            exec_backend=exec_backend,
         )
     finally:
         session.close()

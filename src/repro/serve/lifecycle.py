@@ -63,18 +63,12 @@ class SessionSpec:
     :class:`~repro.core.model.SessionCapacityError`, it never silently
     grows past the cap.  ``workers`` is part of the stream identity
     (serial and sharded draws differ by design; any sharded worker
-    *count* is bit-identical to any other).  ``exec_backend`` is *not*
-    part of the stream identity — thread and process execution are
-    bit-identical, it is recorded here only so a stream's draws run
-    where the deployment asked, and with ``workers`` unset (the serial
-    stream) it is ignored entirely: it can place shards, never create
-    them.
+    *count* is bit-identical to any other).
     """
 
     exclude: Optional[ExcludeLike] = None
     capacity: int = 0
     workers: Optional[int] = None
-    exec_backend: Optional[str] = None
 
     def open(self, model: AddressModel) -> GenerationSession:
         """Open a fresh session on ``model`` per this recipe."""
@@ -143,7 +137,6 @@ class ManagedSession:
                 self.rng,
                 state=self.session,
                 workers=self.spec.workers if workers is None else workers,
-                exec_backend=self.spec.exec_backend,
             )
             self.requests += 1
             self.rows_served += len(out)
@@ -219,7 +212,6 @@ class ManagedSession:
                 "spec": {
                     "capacity": self.spec.capacity,
                     "workers": self.spec.workers,
-                    "exec_backend": self.spec.exec_backend,
                 },
                 "rng_state": self.rng.bit_generator.state,
                 "requests": self.requests,
@@ -241,9 +233,10 @@ class ManagedSession:
         different model would silently break the bit-identity promise
         — the whole point of a checkpoint.  The restored stream's RNG
         resumes at the exact saved position, so its subsequent draws
-        are bit-identical to the uninterrupted run's.  A ``backend``
-        key in the spec (written by older snapshots) is ignored: the
-        stored rows and the state digest never depended on it.
+        are bit-identical to the uninterrupted run's.  Spec keys older
+        snapshots wrote for the since-removed storage and executor
+        backend choices are ignored: the stored rows and the state
+        digest never depended on them.
         """
         if entry.digest != payload["model_digest"]:
             raise CheckpointError(
@@ -256,7 +249,6 @@ class ManagedSession:
             exclude=None,
             capacity=int(spec_data["capacity"]),
             workers=spec_data["workers"],
-            exec_backend=spec_data["exec_backend"],
         )
         managed = cls(
             (payload["model"], payload["client"]),
@@ -278,7 +270,7 @@ class ManagedSession:
         with self._lock:
             self.closed = True
             # Release the GenerationSession's long-lived worker pools —
-            # eviction/expiry must not leak executor threads/processes.
+            # eviction/expiry must not leak executor threads.
             self.session.close()
 
     def __repr__(self) -> str:
@@ -318,10 +310,6 @@ class SessionManager:
         )
         self._evictions = 0
         self._expirations = 0
-        # Fault counters of sessions already dropped, so exec_stats()
-        # never goes down when a session closes, is evicted, rolls over
-        # or is replaced by a restore.
-        self._retired_exec = {"retries": 0, "degradations": 0}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -336,7 +324,6 @@ class SessionManager:
         exclude_training: bool = False,
         capacity: int = 0,
         workers: Optional[int] = None,
-        exec_backend: Optional[str] = None,
     ) -> ManagedSession:
         """Get-or-create the warm session for ``(model_name, client)``.
 
@@ -364,10 +351,7 @@ class SessionManager:
                     )
                 exclude = entry.analysis.address_set
             spec = SessionSpec(
-                exclude=exclude,
-                capacity=capacity,
-                workers=workers,
-                exec_backend=exec_backend,
+                exclude=exclude, capacity=capacity, workers=workers
             )
             session = ManagedSession(
                 key, entry, spec, seed=seed, clock=self._clock
@@ -376,7 +360,7 @@ class SessionManager:
             self._sessions.move_to_end(key)
             while len(self._sessions) > self._capacity:
                 _, evicted = self._sessions.popitem(last=False)
-                self._retire(evicted)
+                evicted.close()
                 self._evictions += 1
             return session
 
@@ -402,21 +386,20 @@ class SessionManager:
             session = self._sessions.pop(key, None)
             if session is None:
                 return False
-            self._retire(session)
+            session.close()
             return True
 
     def close_all(self) -> int:
         """Close and drop every live session; returns how many.
 
         Used by an owning :class:`~repro.serve.service.HitlistService`
-        on shutdown so no session leaves worker pool threads/processes
-        behind.
+        on shutdown so no session leaves worker pool threads behind.
         """
         with self._lock:
             sessions = list(self._sessions.values())
             self._sessions.clear()
             for session in sessions:
-                self._retire(session)
+                session.close()
         return len(sessions)
 
     def rollover(self, model_name: str, client: str) -> ManagedSession:
@@ -436,7 +419,7 @@ class SessionManager:
                     f"no live session for model {model_name!r}, "
                     f"client {client!r}"
                 )
-            self._retire(old)
+            old.close()
             entry = self.registry.get(model_name)
             session = ManagedSession(
                 key, entry, old.spec, seed=old.seed, clock=self._clock
@@ -462,12 +445,12 @@ class SessionManager:
             )
             old = self._sessions.pop(session.key, None)
             if old is not None:
-                self._retire(old)
+                old.close()
             self._sessions[session.key] = session
             self._sessions.move_to_end(session.key)
             while len(self._sessions) > self._capacity:
                 _, evicted = self._sessions.popitem(last=False)
-                self._retire(evicted)
+                evicted.close()
                 self._evictions += 1
             return session
 
@@ -480,26 +463,6 @@ class SessionManager:
                 if not session.closed
             ]
         return [session.snapshot() for session in sessions]
-
-    def exec_stats(self) -> dict:
-        """Mid-run retry / degradation counters summed over the worker
-        pools of every session this manager has held, dropped ones
-        included (for the service ``health`` verb).  Monotonic."""
-        with self._lock:
-            totals = dict(self._retired_exec)
-            for session in self._sessions.values():
-                stats = session.session.exec_stats()
-                totals["retries"] += stats["retries"]
-                totals["degradations"] += stats["degradations"]
-        return totals
-
-    def _retire(self, session: ManagedSession) -> None:
-        """Close a session the manager has dropped (under the manager
-        lock) and fold its fault counters into the running totals."""
-        session.close()
-        stats = session.session.exec_stats()
-        self._retired_exec["retries"] += stats["retries"]
-        self._retired_exec["degradations"] += stats["degradations"]
 
     def adopt_model(self, model_name: str) -> int:
         """Roll every live session of ``model_name`` onto the model's
@@ -566,7 +529,7 @@ class SessionManager:
             if now - session.last_used > self._ttl
         ]
         for key in expired:
-            self._retire(self._sessions.pop(key))
+            self._sessions.pop(key).close()
             self._expirations += 1
 
     def __repr__(self) -> str:

@@ -302,7 +302,6 @@ class HitlistService:
         exclude_training: bool = True,
         capacity: int = 0,
         workers: Optional[int] = None,
-        exec_backend: Optional[str] = None,
     ) -> ManagedSession:
         """Get-or-create the client's warm stream (inline bookkeeping).
 
@@ -317,7 +316,6 @@ class HitlistService:
             exclude_training=exclude_training,
             capacity=capacity,
             workers=workers,
-            exec_backend=exec_backend,
         )
 
     def generate(
@@ -330,7 +328,6 @@ class HitlistService:
         exclude_training: bool = True,
         capacity: int = 0,
         workers: Optional[int] = None,
-        exec_backend: Optional[str] = None,
     ) -> AddressSet:
         """Serve the next ``n`` candidates of ``(model, client)``'s
         stream; blocks for the result.  See :meth:`generate_async`."""
@@ -343,7 +340,6 @@ class HitlistService:
             exclude_training=exclude_training,
             capacity=capacity,
             workers=workers,
-            exec_backend=exec_backend,
         ).result()
 
     def generate_async(
@@ -356,7 +352,6 @@ class HitlistService:
         exclude_training: bool = True,
         capacity: int = 0,
         workers: Optional[int] = None,
-        exec_backend: Optional[str] = None,
     ) -> "Future":
         """Queue a generate request; the future resolves to the
         :class:`AddressSet`.
@@ -383,7 +378,6 @@ class HitlistService:
                     exclude_training=exclude_training,
                     capacity=capacity,
                     workers=workers,
-                    exec_backend=exec_backend,
                 )
             return live.generate(n, workers=workers)
 
@@ -563,10 +557,8 @@ class HitlistService:
         serve protocol.
 
         Everything an operator needs at a glance: queue depth against
-        its bound, worker count, shed/timeout/retry totals, the exec
-        layer's mid-run retry and process→thread degradation counters
-        aggregated across live sessions, and the registered models
-        with their current versions.
+        its bound, worker count, shed/timeout/retry totals, and the
+        registered models with their current versions.
         """
         with self._lock:
             depth = self._queue.qsize()
@@ -579,7 +571,6 @@ class HitlistService:
                 "shed": self._rejected,
                 "retries": sum(self._retried.values()),
             }
-        summary["exec"] = self.sessions.exec_stats()
         summary["models"] = self.registry.versions()
         return summary
 
@@ -603,7 +594,7 @@ class HitlistService:
 
         When the service owns its session manager (it was not passed a
         shared one), every live session is closed too, releasing the
-        sessions' worker pool threads/processes — a closed service
+        sessions' worker pool threads — a closed service
         leaves nothing running.
         """
         with self._lock:

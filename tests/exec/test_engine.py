@@ -2,11 +2,9 @@
 
 The engine's contract: the shard decomposition (sizes, RNG streams) is
 a pure function of the caller's seed and the ``shards`` count, and the
-worker count only decides how many shards run concurrently — the
-``exec_backend`` only *where*.  Everything here pins that —
-``workers=4`` must be bit-identical to ``workers=1`` across
-generation, scan experiments and whole campaigns, on either backend
-(the CI matrix re-runs this suite with ``REPRO_EXEC_BACKEND=process``).
+worker count only decides how many shards run concurrently.  Everything
+here pins that — ``workers=4`` must be bit-identical to ``workers=1``
+across generation, scan experiments and whole campaigns.
 """
 
 import os
@@ -16,20 +14,19 @@ import pytest
 
 from repro.core.pipeline import EntropyIP
 from repro.datasets.networks import build_network
-from repro.errors import ExecBackendError
 from repro.exec import (
     DEFAULT_SHARDS,
     WorkerPool,
     available_cpus,
     derive_seed_sequence,
-    resolve_exec_backend,
     resolve_workers,
     shard_bounds,
     shard_sizes,
     sharded_map_rows,
 )
-from repro.exec.engine import _draw_shard_task
+from repro.exec.engine import _empty_shard
 from repro.exec.sharding import spawn_generators
+from repro.faults import FaultPlan
 from repro.scan.campaign import run_campaign
 from repro.scan.evaluate import scan_experiment
 from repro.scan.responder import SimulatedResponder
@@ -124,16 +121,6 @@ class TestWorkerPool:
         assert available_cpus() == 6
         assert resolve_workers(-1) == 6
 
-    def test_resolve_exec_backend(self):
-        assert resolve_exec_backend(None) == "thread"
-        assert resolve_exec_backend("thread") == "thread"
-        assert resolve_exec_backend("process") == "process"
-        with pytest.raises(ExecBackendError):
-            resolve_exec_backend("mpi")
-        # The typed error is also a ValueError (and a ReproError).
-        with pytest.raises(ValueError):
-            resolve_exec_backend("mpi")
-
     def test_map_preserves_order(self):
         pool = WorkerPool(4)
         assert pool.map(lambda x: x * x, range(20)) == [x * x for x in range(20)]
@@ -191,10 +178,10 @@ class TestPoolLifetime:
         session = model.session(exclude=train)
         rng = np.random.default_rng(7)
         model.generate_set(2000, rng, state=session, workers=2)
-        pool = session.get_pool(2, None)
+        pool = session.get_pool(2)
         assert not pool.closed
         model.generate_set(2000, rng, state=session, workers=2)
-        assert session.get_pool(2, None) is pool  # same pool, same executor
+        assert session.get_pool(2) is pool  # same pool, same executor
         session.close()
         assert pool.closed
 
@@ -204,195 +191,8 @@ class TestPoolLifetime:
             model.generate_set(
                 1000, np.random.default_rng(7), state=session, workers=2
             )
-            pool = session.get_pool(2, None)
+            pool = session.get_pool(2)
         assert pool.closed
-
-
-class TestProcessBackend:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ExecBackendError):
-            WorkerPool(2, backend="mpi")
-
-    def test_unpicklable_task_degrades_to_threads(self):
-        pool = WorkerPool(2, backend="process")
-        captured = []  # closures cannot cross a process boundary
-        out = pool.map(lambda x: (captured.append(x) or x * 2), [1, 2, 3])
-        assert out == [2, 4, 6]
-        assert pool.active_backend == "thread"
-        assert pool.backend == "process"  # the request is remembered
-        assert "->" in repr(pool)
-        pool.close()
-
-    def test_unpicklable_task_without_fallback_raises(self):
-        pool = WorkerPool(2, backend="process", fallback=False)
-        with pytest.raises(ExecBackendError):
-            pool.map(lambda x: x * 2, [1, 2, 3])
-        pool.close()
-
-    def test_module_level_task_runs_on_processes(self):
-        pool = WorkerPool(2, backend="process")
-        try:
-            out = pool.map(_square, [1, 2, 3, 4])
-        except ExecBackendError:  # pragma: no cover - sandboxed hosts
-            pytest.skip("process pool cannot start here")
-        assert out == [1, 4, 9, 16]
-        # No fallback happened (or, on fork-less sandboxes, the pool
-        # degraded and said so) — either way the output is identical.
-        assert pool.active_backend in ("process", "thread")
-        pool.close()
-
-    def test_generate_process_backend_bit_identical(self, s1_model):
-        model, train = s1_model
-        ref = model.generate_set(
-            8000, np.random.default_rng(7), exclude=train, workers=1
-        )
-        prc = model.generate_set(
-            8000,
-            np.random.default_rng(7),
-            exclude=train,
-            workers=2,
-            exec_backend="process",
-        )
-        assert np.array_equal(ref.matrix, prc.matrix)
-        assert np.array_equal(ref.packed_rows(), prc.packed_rows())
-
-    def test_generate_process_two_step_bit_identical(self, s1_model):
-        model, train = s1_model
-        ref = model.generate_set(
-            4000,
-            np.random.default_rng(5),
-            exclude=train,
-            workers=1,
-            fused=False,
-        )
-        prc = model.generate_set(
-            4000,
-            np.random.default_rng(5),
-            exclude=train,
-            workers=2,
-            fused=False,
-            exec_backend="process",
-        )
-        assert np.array_equal(ref.matrix, prc.matrix)
-
-    def test_evidence_process_backend_bit_identical(self, s1_model):
-        model, _ = s1_model
-        label = model.encoder.variable_names[0]
-        ref = model.generate_set(
-            500, np.random.default_rng(13), evidence={label: 0}, workers=1
-        )
-        prc = model.generate_set(
-            500,
-            np.random.default_rng(13),
-            evidence={label: 0},
-            workers=2,
-            exec_backend="process",
-        )
-        assert np.array_equal(ref.matrix, prc.matrix)
-
-    def test_exec_backend_alone_keeps_serial_stream(self, s1_model):
-        """Regression: ``exec_backend`` is a pure throughput knob.  With
-        ``workers``/``shards`` unset it must NOT select the sharded
-        route (whose stream legitimately differs from serial), so
-        passing it alone is output-identical to the plain serial call
-        — the contract the CLI help and ``SessionSpec`` document."""
-        model, train = s1_model
-        ref = model.generate_set(
-            3000, np.random.default_rng(3), exclude=train
-        )
-        for backend in ("thread", "process"):
-            out = model.generate_set(
-                3000,
-                np.random.default_rng(3),
-                exclude=train,
-                exec_backend=backend,
-            )
-            assert np.array_equal(ref.matrix, out.matrix), backend
-
-    def test_unpicklable_model_degrades_to_threads(
-        self, s1_model, monkeypatch
-    ):
-        """A model that cannot cross the process boundary degrades the
-        pool to threads like every other process-path failure — it must
-        not raise raw out of the model-pickling step."""
-        import pickle
-
-        import repro.exec.engine as engine_mod
-
-        model, train = s1_model
-
-        def refuse(obj, *args, **kwargs):
-            raise pickle.PicklingError("model refuses to pickle")
-
-        monkeypatch.setattr(engine_mod.pickle, "dumps", refuse)
-        session = model.session(exclude=train)
-        try:
-            out = model.generate_set(
-                2000,
-                np.random.default_rng(11),
-                state=session,
-                workers=2,
-                exec_backend="process",
-            )
-            pool = session.get_pool(2, "process")
-            assert pool.active_backend == "thread"
-            assert pool.backend == "process"  # the request is remembered
-        finally:
-            session.close()
-        ref = model.generate_set(
-            2000, np.random.default_rng(11), exclude=train, workers=2
-        )
-        assert np.array_equal(ref.matrix, out.matrix)
-
-    def test_degrade_without_fallback_raises(self):
-        pool = WorkerPool(2, backend="process", fallback=False)
-        with pytest.raises(ExecBackendError):
-            pool.degrade_to_threads(RuntimeError("boom"))
-        pool.close()
-
-    def test_multithreaded_parent_avoids_fork(self):
-        """Forking a multithreaded parent can copy another thread's
-        held lock into the child permanently locked; with other
-        threads alive the pool must pick forkserver, not fork."""
-        import multiprocessing
-        import threading
-
-        if "forkserver" not in multiprocessing.get_all_start_methods():
-            pytest.skip("forkserver unavailable on this platform")
-        pool = WorkerPool(2, backend="process")
-        release = threading.Event()
-        helper = threading.Thread(target=release.wait)
-        helper.start()
-        try:
-            executor = pool._make_executor("process")
-            try:
-                assert (
-                    executor._mp_context.get_start_method() == "forkserver"
-                )
-            finally:
-                executor.shutdown(wait=False)
-        finally:
-            release.set()
-            helper.join()
-
-    def test_single_threaded_parent_keeps_fork(self):
-        import multiprocessing
-        import threading
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork unavailable on this platform")
-        if threading.active_count() > 1:
-            pytest.skip("test runner has background threads")
-        pool = WorkerPool(2, backend="process")
-        executor = pool._make_executor("process")
-        try:
-            assert executor._mp_context.get_start_method() == "fork"
-        finally:
-            executor.shutdown(wait=False)
-
-
-def _square(x):
-    return x * x
 
 
 class TestEmptyShards:
@@ -400,8 +200,7 @@ class TestEmptyShards:
     must never reach a sampler (size=0 draws are skipped entirely)."""
 
     @pytest.mark.parametrize("fused", [None, False])
-    @pytest.mark.parametrize("backend", [None, "process"])
-    def test_n_smaller_than_shards(self, s1_model, fused, backend):
+    def test_n_smaller_than_shards(self, s1_model, fused):
         model, train = s1_model
         out = model.generate_set(
             10,
@@ -410,43 +209,45 @@ class TestEmptyShards:
             workers=2,
             shards=5000,  # far beyond the 4096-row batch floor
             fused=fused,
-            exec_backend=backend,
         )
         assert len(out) == 10
         uniques = {tuple(row) for row in out.matrix.tolist()}
         assert len(uniques) == 10
         assert not train.contains_rows(out).any()
 
-    @pytest.mark.parametrize("backend", [None, "process"])
-    def test_n_zero(self, s1_model, backend):
+    def test_n_zero(self, s1_model):
         model, train = s1_model
         out = model.generate_set(
-            0,
-            np.random.default_rng(9),
-            exclude=train,
-            workers=2,
-            exec_backend=backend,
+            0, np.random.default_rng(9), exclude=train, workers=2
         )
         assert len(out) == 0
         assert out.width == model.encoder.width
 
     @pytest.mark.parametrize("use_fused", [True, False])
     def test_zero_size_task_returns_shaped_empties(self, s1_model, use_fused):
-        import pickle
-
         model, _ = s1_model
-        payload = pickle.dumps(model)
-        child = np.random.SeedSequence(0)
-        matrix, words = _draw_shard_task(
-            ("tok", payload, use_fused, None, 0, child, 0, 0)
-        )
         width = model.encoder.width
+        matrix, words = _empty_shard(width, use_fused)
         assert words.shape == (0, (width + 15) // 16)
         assert words.dtype == np.uint64
         if use_fused:
             assert matrix is None
         else:
             assert matrix.shape == (0, width)
+
+
+class TestShardFaultSite:
+    def test_shard_fault_site_fires_at_its_coordinates(self, s1_model):
+        """``pool.shard@C.S`` raises inside shard S of draw C on the
+        thread pool, and the error reaches the caller."""
+        model, train = s1_model
+        plan = FaultPlan.parse("pool.shard@0.1:raise=OSError")
+        with plan.armed():
+            with pytest.raises(OSError, match="call 0 shard 1"):
+                model.generate_set(
+                    1000, np.random.default_rng(9), exclude=train, workers=2
+                )
+        assert plan.fired() == 1
 
 
 class TestShardedMapRows:
@@ -475,12 +276,8 @@ class TestGenerationDeterminism:
     """Same seed, any worker count → bit-identical generate_set output."""
 
     @pytest.mark.parametrize("fixture", ["s1_model", "r1_model"])
-    def test_workers_bit_identical(self, fixture, request, exec_backend):
+    def test_workers_bit_identical(self, fixture, request):
         model, train = request.getfixturevalue(fixture)
-        # The workers=1 reference always runs the thread (inline) path;
-        # the parallel runs use the suite's backend — under
-        # REPRO_EXEC_BACKEND=process this asserts serial-thread ≡
-        # parallel-process, the full cross-backend contract.
         rng = np.random.default_rng(7)
         results = [
             model.generate_set(20_000, rng, exclude=train, workers=1)
@@ -489,11 +286,7 @@ class TestGenerationDeterminism:
             rng = np.random.default_rng(7)
             results.append(
                 model.generate_set(
-                    20_000,
-                    rng,
-                    exclude=train,
-                    workers=workers,
-                    exec_backend=exec_backend,
+                    20_000, rng, exclude=train, workers=workers
                 )
             )
         assert np.array_equal(results[0].matrix, results[1].matrix)
@@ -526,6 +319,20 @@ class TestGenerationDeterminism:
         implicit = model.generate_set(3000, rng, exclude=train, workers=1)
         assert np.array_equal(explicit.matrix, implicit.matrix)
 
+    def test_two_step_path_is_worker_invariant(self, s1_model):
+        model, train = s1_model
+        results = [
+            model.generate_set(
+                4000,
+                np.random.default_rng(5),
+                exclude=train,
+                workers=workers,
+                fused=False,
+            )
+            for workers in (1, 2)
+        ]
+        assert np.array_equal(results[0].matrix, results[1].matrix)
+
     def test_evidence_path_is_worker_invariant(self, s1_model):
         model, _ = s1_model
         label = model.encoder.variable_names[0]
@@ -541,17 +348,16 @@ class TestGenerationDeterminism:
 
 
 class TestScanDeterminism:
-    def test_scan_experiment_workers_bit_identical(self, exec_backend):
+    def test_scan_experiment_workers_bit_identical(self):
         network = build_network("S1")
         counts = []
-        for workers, backend in ((1, None), (4, exec_backend)):
+        for workers in (1, 4):
             result = scan_experiment(
                 network,
                 train_size=400,
                 n_candidates=20_000,
                 seed=1,
                 workers=workers,
-                exec_backend=backend,
             )
             counts.append(
                 (
@@ -564,7 +370,7 @@ class TestScanDeterminism:
             )
         assert counts[0] == counts[1]
 
-    def test_campaign_workers_bit_identical(self, exec_backend):
+    def test_campaign_workers_bit_identical(self):
         network = build_network("R1")
         train = network.sample(400, seed=2)
         responder = SimulatedResponder(
@@ -574,7 +380,7 @@ class TestScanDeterminism:
             seed=2,
         )
         outcomes = []
-        for workers, backend in ((1, None), (4, exec_backend)):
+        for workers in (1, 4):
             result = run_campaign(
                 train,
                 responder,
@@ -583,7 +389,6 @@ class TestScanDeterminism:
                 adaptive=True,
                 seed=2,
                 workers=workers,
-                exec_backend=backend,
             )
             outcomes.append(
                 (

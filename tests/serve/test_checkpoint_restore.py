@@ -23,6 +23,10 @@ from repro.serve import HitlistService, ModelRegistry, SessionManager
 #: references to the removed code does not flag this test.
 LEGACY_BACKENDS = [None, "memory", "sharded" + "64"]
 
+#: ``spec["exec_backend"]`` values that older stream snapshots carry,
+#: from before the thread pool became the only executor.
+LEGACY_EXEC_BACKENDS = [None, "thread", "process"]
+
 
 @pytest.fixture(scope="module")
 def analysis(structured_set):
@@ -91,6 +95,32 @@ class TestManagedSessionSnapshot:
             assert np.array_equal(restored.generate(100).matrix, after)
         finally:
             restored.close()
+
+    @pytest.mark.parametrize("exec_backend", LEGACY_EXEC_BACKENDS)
+    def test_restore_accepts_legacy_exec_backend_key(
+        self, registry, exec_backend
+    ):
+        """Older stream payloads carry ``spec["exec_backend"]``; restore
+        ignores it (execution placement never changed a row), and new
+        snapshots no longer write it."""
+        manager = SessionManager(registry)
+        session = manager.open(
+            "m", "legacy", seed=3, exclude_training=True, workers=2
+        )
+        session.generate(100)
+        payload = session.snapshot()
+        assert "exec_backend" not in payload["spec"]
+        digest = session.session.table.state_digest()
+        after = session.generate(100).matrix
+
+        payload["spec"]["exec_backend"] = exec_backend
+        restored = SessionManager(registry).restore_session(payload)
+        try:
+            assert restored.session.table.state_digest() == digest
+            assert np.array_equal(restored.generate(100).matrix, after)
+        finally:
+            restored.close()
+            session.close()
 
     def test_round_trip_through_checkpoint_file(self, registry, tmp_path):
         manager = SessionManager(registry)

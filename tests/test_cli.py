@@ -96,6 +96,11 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["generate", address_file, "--backend", "memory"])
 
+    def test_generate_has_no_exec_backend_flag(self, address_file):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["generate", address_file, "--exec-backend", "thread"])
+        assert exit_info.value.code == 2
+
 
 class TestServeCommand:
     def test_synthetic_load(self, address_file, capsys):
@@ -173,7 +178,7 @@ class TestServeCommand:
         assert health["status"] == "ok"
         assert health["models"] == {"m": 1}
         assert health["timeouts"] == 0
-        assert "pending" in health and "exec" in health
+        assert "pending" in health
 
     def test_line_protocol_survives_unforeseen_errors(
         self, address_file, capsys, monkeypatch
